@@ -3,9 +3,9 @@
 // plain calibrated loops, best-of-N passes). Three phases:
 //
 //   micro — ns/op audit of the training-side kernels: alias-table
-//           sampling, node2vec walk steps (on-the-fly vs rejection),
-//           per-context training updates of all three models, the
-//           fixed-point core, and the dense matvec. These numbers feed
+//           sampling, node2vec walk steps (on-the-fly at q = 1 and at
+//           q = 2, rejection), per-context training updates of all
+//           three models, the fixed-point core, and the dense matvec. These numbers feed
 //           the op-count audit in EXPERIMENTS.md.
 //   simd  — scalar reference vs dispatched float kernels (dot, axpy,
 //           scale, l2_norm, fused dot_topk_scan). GATES: dispatched dot
@@ -162,32 +162,25 @@ void run_micro_phase(std::size_t scale_div) {
   }
 
   const Graph& g = bench_graph().graph;
-  {
-    Node2VecParams params;
-    Node2VecWalker<Graph> walker(g, params);
-    Rng rng(3);
+  // ns per step of walk_length-node walks from random starts.
+  const auto walk_step_ns = [&](const auto& walker, std::uint64_t seed) {
+    Rng rng(seed);
     std::vector<NodeId> walk;
     const double ns = ns_per_op(it(20000), [&] {
       walker.walk_into(rng, static_cast<NodeId>(rng.bounded(g.num_nodes())),
                        walk);
       keep(walk.data());
     });
-    report("walk_step/on_the_fly",
-           ns / static_cast<double>(Node2VecParams{}.walk_length));
-  }
-  {
-    Node2VecParams params;
-    RejectionNode2VecWalker walker(g, params);
-    Rng rng(4);
-    std::vector<NodeId> walk;
-    const double ns = ns_per_op(it(20000), [&] {
-      walker.walk_into(rng, static_cast<NodeId>(rng.bounded(g.num_nodes())),
-                       walk);
-      keep(walk.data());
-    });
-    report("walk_step/rejection",
-           ns / static_cast<double>(Node2VecParams{}.walk_length));
-  }
+    return ns / static_cast<double>(walker.params().walk_length);
+  };
+  // Table 2's q = 1 needs no adjacency test; q = 2 runs has_edge per
+  // neighbour.
+  report("walk_step/on_the_fly",
+         walk_step_ns(Node2VecWalker<Graph>(g, Node2VecParams{}), 3));
+  report("walk_step/on_the_fly_q2",
+         walk_step_ns(Node2VecWalker<Graph>(g, Node2VecParams{.q = 2.0}), 3));
+  report("walk_step/rejection",
+         walk_step_ns(RejectionNode2VecWalker(g, Node2VecParams{}), 4));
 
   const auto sampler = NegativeSampler::from_degrees(g);
   const std::size_t dims = 96;

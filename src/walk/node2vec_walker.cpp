@@ -55,7 +55,9 @@ NodeId RejectionNode2VecWalker::biased_step(Rng& rng, NodeId prev,
     double alpha;
     if (x == prev) {
       alpha = inv_p_;
-    } else if (graph_.has_edge(prev, x)) {
+    } else if (inv_q_ == 1.0 || graph_.has_edge(prev, x)) {
+      // With 1/q == 1 triangle and explore both accept at 1: skip the
+      // adjacency test.
       alpha = 1.0;
     } else {
       alpha = inv_q_;

@@ -7,10 +7,13 @@
 //   alpha = 1/q  otherwise            (d_tx = 2, explore)
 //
 // Two sampling strategies are provided:
-//  * OnTheFly — two-pass linear scan over the current adjacency list,
-//    recomputing the bias per step. O(deg) per step, zero preprocessing,
-//    works on mutable graphs — this is what the paper's host CPU does,
-//    and what the "seq" scenario requires (the graph changes every step).
+//  * OnTheFly — two linear passes over the current adjacency list,
+//    recomputing the bias per step: zero preprocessing, works on
+//    mutable graphs — this is what the paper's host CPU does, and what
+//    the "seq" scenario requires (the graph changes every step). A step
+//    costs O(deg(u)) when 1/q == 1 (triangle and explore weigh the same,
+//    so no adjacency test is needed); otherwise each pass tests (t, x)
+//    in E with has_edge, O(deg(u) * log deg(t)) on sorted lists.
 //  * Rejection — per-node alias tables over edge weights as the proposal
 //    distribution, accept with alpha/alpha_max (KnightKing-style).
 //    O(1) expected per step after O(E) preprocessing; static graphs only.
@@ -108,7 +111,9 @@ class Node2VecWalker {
   [[nodiscard]] double bias(NodeId prev, NodeId x, double inv_p,
                             double inv_q) const {
     if (x == prev) return inv_p;
-    if (graph_.has_edge(prev, x)) return 1.0;
+    // With 1/q == 1 triangle and explore both weigh 1: skip the
+    // adjacency test.
+    if (inv_q == 1.0 || graph_.has_edge(prev, x)) return 1.0;
     return inv_q;
   }
 

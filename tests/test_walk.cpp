@@ -1,15 +1,21 @@
 // Tests for the node2vec walkers (on-the-fly and rejection-sampling),
 // context windowing, and corpus generation — including the statistical
 // property that both sampling strategies draw from the same biased
-// distribution, and that p/q steer the walk as Sec. 2.1 describes.
+// distribution, that p/q steer the walk as Sec. 2.1 describes, and a
+// golden check that the on-the-fly walker's walks are bit-identical to
+// the plain two-pass, binary-search-per-neighbour step.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
+#include "graph/sliding_window.hpp"
 #include "util/rng.hpp"
 #include "walk/corpus.hpp"
 #include "walk/node2vec_walker.hpp"
@@ -149,6 +155,187 @@ TEST(Walker, WorksOnDynamicGraph) {
     for (NodeId v : walker.walk(rng, 0)) reached3 |= (v == 3);
   }
   EXPECT_TRUE(reached3);
+}
+
+// --- golden: bit-identical to the two-pass, binary-search step ------------
+
+/// The reference second-order step: both passes recompute the bias of
+/// every neighbour, testing (prev, x) in E with has_edge's binary
+/// search. Node2VecWalker must draw exactly the same node from the
+/// same RNG state.
+template <typename GraphT>
+NodeId reference_step(const GraphT& g, const Node2VecParams& params,
+                      Rng& rng, NodeId prev, NodeId cur) {
+  const double inv_p = 1.0 / params.p;
+  const double inv_q = 1.0 / params.q;
+  const auto bias = [&](NodeId x) {
+    if (x == prev) return inv_p;
+    if (g.has_edge(prev, x)) return 1.0;
+    return inv_q;
+  };
+  const auto nbrs = g.neighbors(cur);
+  const auto ws = g.weights(cur);
+  double total = 0.0;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    total += ws[i] * bias(nbrs[i]);
+  }
+  double r = rng.uniform() * total;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    r -= ws[i] * bias(nbrs[i]);
+    if (r <= 0.0) return nbrs[i];
+  }
+  return nbrs.back();
+}
+
+template <typename GraphT>
+std::vector<NodeId> reference_walk(const GraphT& g,
+                                   const Node2VecParams& params, Rng& rng,
+                                   NodeId start) {
+  std::vector<NodeId> out = {start};
+  if (g.degree(start) == 0) return out;
+  // First step: by edge weight alone.
+  const auto nbrs = g.neighbors(start);
+  const auto ws = g.weights(start);
+  double total = 0.0;
+  for (float w : ws) total += w;
+  double r = rng.uniform() * total;
+  std::size_t i = 0;
+  for (; i + 1 < nbrs.size(); ++i) {
+    r -= ws[i];
+    if (r <= 0.0) break;
+  }
+  out.push_back(nbrs[i]);
+  while (out.size() < params.walk_length && g.degree(out.back()) != 0) {
+    out.push_back(reference_step(g, params, rng, out[out.size() - 2],
+                                 out.back()));
+  }
+  return out;
+}
+
+/// For every (p, q) in {0.5, 1, 4} x {0.5, 1, 2}: walks from every node
+/// (`rounds` each) equal the reference's, and both consume the RNG
+/// identically.
+template <typename GraphT>
+void expect_golden_walks(const GraphT& g, std::size_t rounds,
+                         const char* what) {
+  for (const double p : {0.5, 1.0, 4.0}) {
+    for (const double q : {0.5, 1.0, 2.0}) {
+      Node2VecParams params;
+      params.p = p;
+      params.q = q;
+      params.walk_length = 40;
+      const Node2VecWalker<GraphT> walker(g, params);
+      Rng a(1000 + static_cast<std::uint64_t>(p * 10 + q));
+      Rng b = a;
+      std::vector<NodeId> walk;
+      for (std::size_t round = 0; round < rounds; ++round) {
+        for (NodeId u = 0; u < g.num_nodes(); ++u) {
+          walker.walk_into(a, u, walk);
+          ASSERT_EQ(walk, reference_walk(g, params, b, u))
+              << what << " p=" << p << " q=" << q << " start=" << u;
+        }
+      }
+      EXPECT_EQ(a.next(), b.next()) << what;
+    }
+  }
+}
+
+std::vector<Edge> weighted_edges(const Graph& g, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v : g.neighbors(u)) {
+      if (u < v) {
+        edges.push_back({u, v, static_cast<float>(rng.uniform(0.1, 5.0))});
+      }
+    }
+  }
+  return edges;
+}
+
+TEST(WalkerGolden, UnweightedGraph) {
+  const LabeledGraph data = generate_dcsbm(
+      {.num_nodes = 150, .target_edges = 900, .num_classes = 4, .seed = 31});
+  expect_golden_walks(data.graph, 2, "unweighted");
+}
+
+TEST(WalkerGolden, WeightedGraph) {
+  const LabeledGraph data = generate_dcsbm(
+      {.num_nodes = 150, .target_edges = 900, .num_classes = 4, .seed = 32});
+  const auto edges = weighted_edges(data.graph, 33);
+  expect_golden_walks(Graph::from_edges(150, edges), 2, "weighted");
+}
+
+TEST(WalkerGolden, DynamicGraphAfterInsertsAndRemovals) {
+  const auto edges =
+      weighted_edges(make_barabasi_albert(120, 4, 34), /*seed=*/35);
+  DynamicGraph dg(120);
+  for (const Edge& e : edges) dg.add_edge(e.src, e.dst, e.weight);
+  for (std::size_t i = 0; i < edges.size(); i += 3) {
+    dg.remove_edge(edges[i].src, edges[i].dst);
+  }
+  expect_golden_walks(dg, 2, "dynamic");
+}
+
+TEST(WalkerGolden, SlidingWindowGraphAfterInsertsRemovalsAndExpiry) {
+  const auto edges =
+      weighted_edges(make_barabasi_albert(120, 5, 36), /*seed=*/37);
+  SlidingWindowGraph::Options opts;
+  opts.max_age = 400;
+  SlidingWindowGraph wg(120, opts);
+  std::vector<ExpiredEdge> expired;
+  std::uint64_t now = 0;
+  for (const Edge& e : edges) {
+    wg.add_edge(e.src, e.dst, e.weight, ++now);
+    if (now % 7 == 0) wg.remove_edge(e.src, e.dst);
+  }
+  wg.expire(now, expired);
+  ASSERT_FALSE(expired.empty());
+  expect_golden_walks(wg, 2, "window");
+}
+
+TEST(WalkerGolden, HubAndLeavesBothDirections) {
+  // Node 0 is a hub joined to all 400 leaves; the leaves form a ring
+  // with chords, so leaf steps see triangles through the hub. Leaf ->
+  // hub steps have deg(cur) >> deg(prev), hub -> leaf the reverse.
+  constexpr NodeId kLeaves = 400;
+  std::vector<Edge> edges;
+  for (NodeId v = 1; v <= kLeaves; ++v) {
+    edges.push_back({0, v, 1.0f + static_cast<float>(v % 5)});
+    edges.push_back({v, v % kLeaves + 1, 1.0f});
+    if (v % 4 == 0) edges.push_back({v, (v + 37) % kLeaves + 1, 2.0f});
+  }
+  const Graph g = Graph::from_edges(kLeaves + 1, edges);
+  expect_golden_walks(g, 1, "hub");
+
+  for (const double q : {0.5, 2.0}) {
+    Node2VecParams params;
+    params.q = q;
+    const Node2VecWalker<Graph> walker(g, params);
+    for (NodeId v = 1; v <= kLeaves; ++v) {
+      for (const auto& [prev, cur] :
+           {std::pair{NodeId{0}, v}, std::pair{v, NodeId{0}}}) {
+        Rng a(v);
+        Rng b(v);
+        for (int draw = 0; draw < 16; ++draw) {
+          ASSERT_EQ(walker.biased_step(a, prev, cur),
+                    reference_step(g, params, b, prev, cur))
+              << "q=" << q << " prev=" << prev << " cur=" << cur;
+        }
+      }
+    }
+  }
+}
+
+TEST(WalkerGolden, DeadEndStopsTheWalk) {
+  // Directed arcs: 0 -> 1 -> 2 -> 3 with 1 -> 3 and 2 -> 0; node 3 has
+  // no out-arcs, so walks stop there, and node 4 is isolated.
+  const std::vector<Edge> arcs = {{0, 1}, {1, 2}, {2, 3}, {1, 3}, {2, 0}};
+  const Graph g = Graph::from_edges(5, arcs, /*undirected=*/false);
+  expect_golden_walks(g, 20, "dead end");
+  Rng rng(38);
+  const auto walk = Node2VecWalker<Graph>(g, Node2VecParams{}).walk(rng, 4);
+  EXPECT_EQ(walk, std::vector<NodeId>{4});
 }
 
 TEST(RejectionWalker, MatchesOnTheFlyDistribution) {
