@@ -1,7 +1,8 @@
 // Serving bench: quantifies the two claims of the serving subsystem.
 //
 // Phase 1 — concurrent operation: train_all runs on its own thread
-// (publishing snapshots into the EmbeddingStore at a batch cadence)
+// (publishing snapshots into a one-shard ShardedEmbeddingStore at a
+// batch cadence)
 // while client threads hammer the EmbeddingServer with top-k queries.
 // Reports training throughput (walks/s) and serving QPS with
 // p50/p95/p99 latency measured *during* training — the store's RCU swap
@@ -15,14 +16,14 @@
 //
 // Phase 3 — sharded copy-on-write delta publishing vs full-snapshot
 // publishing: replay a sequential-training touch pattern (a few hundred
-// rows per publish) against (a) the unsharded EmbeddingStore, which
-// copies the full matrix per publish, and (b) a ShardedEmbeddingStore
-// taking row deltas. Reports ms/publish and rows copied for both and
-// gates on the delta path being >= 5x cheaper — at equal answer
-// quality: the sharded fan-out exact top-k must be *identical* to the
-// N = 1 store's (with --scan-threads, the threaded fan-out), and the
-// sharded per-shard IVF must reach the same recall@10 bar (0.9) as the
-// unsharded index. The delta replay also runs under the legacy
+// rows per publish) against (a) full-matrix publishes into a one-shard
+// store, which copy the whole matrix per publish, and (b) a
+// --shards store taking row deltas. Reports ms/publish and rows copied
+// for both and gates on the delta path being >= 5x cheaper — at equal
+// answer quality: the sharded fan-out exact top-k must be *identical*
+// to the one-shard engine's (with --scan-threads, the threaded
+// fan-out), and the sharded per-shard IVF must reach the same recall@10
+// bar (0.9) as the one-shard index. The delta replay also runs under the legacy
 // chain-depth compaction policy vs the amortized-cost policy and gates
 // on the cost policy copying fewer rows per publish.
 //
@@ -56,8 +57,6 @@
 #include "graph/generators.hpp"
 #include "linalg/kernels.hpp"
 #include "serve/embedding_server.hpp"
-#include "serve/embedding_store.hpp"
-#include "serve/query_engine.hpp"
 #include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
 #include "util/stats.hpp"
@@ -142,7 +141,7 @@ int main(int argc, char** argv) {
   // concurrent window to seconds rather than minutes.
   cfg.walks_per_node = 1;
 
-  auto store = std::make_shared<serve::EmbeddingStore>();
+  auto store = std::make_shared<serve::ShardedEmbeddingStore>();
 
   // ---------------------------------------------------- phase 1: concurrent
   std::atomic<bool> trainer_done{false};
@@ -243,8 +242,7 @@ int main(int argc, char** argv) {
   std::printf("IVF vs exact brute force on the final snapshot "
               "(recall@%zu over %zu query nodes):\n",
               top_k, eval_queries);
-  const auto snap = store->current();
-  const serve::QueryEngine exact(snap);
+  const serve::ShardedQueryEngine exact(*store);
 
   Rng qrng(cfg.seed + 2);
   std::vector<NodeId> query_nodes;
@@ -265,8 +263,10 @@ int main(int argc, char** argv) {
   ivf_cfg.kind = serve::IndexConfig::Kind::kIvf;
   ivf_cfg.nlist = nlist;
   ivf_cfg.seed = cfg.seed;
+  // IndexConfig clamps nlist to the row count.
+  const std::size_t ivf_nlist = std::min(nlist, graph.num_nodes());
   WallTimer build_timer;
-  const serve::QueryEngine ivf(snap, ivf_cfg);
+  const serve::ShardedQueryEngine ivf(*store, {ivf_cfg});
   const double build_ms = build_timer.millis();
 
   Table table({"engine", "nprobe", "recall@" + std::to_string(top_k),
@@ -284,7 +284,7 @@ int main(int argc, char** argv) {
   std::vector<SweepRow> ivf_sweep;
   bool recall_ok = false, perf_ok = false;
   for (std::size_t nprobe : {2, 4, 8, 16, 32}) {
-    if (nprobe >= ivf.nlist()) break;
+    if (nprobe >= ivf_nlist) break;
     double recall_sum = 0.0;
     std::vector<std::vector<serve::Neighbor>> approx(eval_queries);
     const double ivf_ms = time_ms([&] {
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf("\nIVF build: %.1f ms for nlist=%zu over %zu nodes\n",
-              build_ms, ivf.nlist(), graph.num_nodes());
+              build_ms, ivf_nlist, graph.num_nodes());
   std::printf("IVF beats brute force at recall@%zu >= 0.9: %s\n", top_k,
               perf_ok ? "yes" : "NO");
 
@@ -318,7 +318,7 @@ int main(int argc, char** argv) {
   std::printf("\nsharded delta publishing vs full-snapshot publishing "
               "(%zu publishes of %zu touched rows, %zu shards):\n",
               delta_publishes, touched_per_publish, shards);
-  const MatrixF& final_emb = snap->embedding;
+  const MatrixF final_emb = store->materialize();
   const std::size_t n = final_emb.rows();
   const std::size_t d = final_emb.cols();
 
@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
   }
 
   // Full-snapshot path: every publish copies the whole matrix.
-  serve::EmbeddingStore full_store;
+  serve::ShardedEmbeddingStore full_store;
   full_store.publish(MatrixF(final_emb));
   const double full_ms = [&] {
     WallTimer t;
@@ -416,9 +416,8 @@ int main(int argc, char** argv) {
               compaction_ok ? "yes" : "NO");
 
   // Equal answer quality, part 1 — exact fan-out identity: the sharded
-  // engine's exact top-k must match the N = 1 store's node for node,
-  // score for score.
-  const serve::QueryEngine exact_full(full_store.current());
+  // engine's exact top-k must match the one-shard engine's node for
+  // node, score for score.
   serve::ShardedIndexConfig exact_sharded_cfg;
   exact_sharded_cfg.scan_threads = scan_threads;
   const serve::ShardedQueryEngine exact_sharded(*sharded_store,
@@ -426,18 +425,18 @@ int main(int argc, char** argv) {
   bool identical = true;
   for (std::size_t q = 0; q < eval_queries && identical; ++q) {
     const auto u = query_nodes[q % query_nodes.size()];
-    const auto a = exact_full.topk(u, top_k);
+    const auto a = exact.topk(u, top_k);
     const auto b = exact_sharded.topk(u, top_k);
     if (a.size() != b.size()) identical = false;
     for (std::size_t i = 0; identical && i < a.size(); ++i) {
       identical = a[i].node == b[i].node && a[i].score == b[i].score;
     }
   }
-  std::printf("sharded exact fan-out identical to N=1 store: %s\n",
+  std::printf("sharded exact fan-out identical to one shard: %s\n",
               identical ? "yes" : "NO");
 
   // Equal answer quality, part 2 — the per-shard IVF must clear the
-  // same recall@k bar as the unsharded index (0.9), at a sub-exact
+  // same recall@k bar as the one-shard index (0.9), at a sub-exact
   // scan cost. nprobe applies per shard, so the sweep starts at 1.
   serve::ShardedIndexConfig sharded_ivf_cfg;
   sharded_ivf_cfg.index.kind = serve::IndexConfig::Kind::kIvf;
@@ -503,13 +502,13 @@ int main(int argc, char** argv) {
     serve::IndexConfig qcfg = ivf_cfg;
     qcfg.quant = quant == "bfp" ? serve::QuantMode::kBfp
                                 : serve::QuantMode::kInt8;
-    const serve::QueryEngine ivf_int8(snap, qcfg);
+    const serve::ShardedQueryEngine ivf_int8(*store, {qcfg});
     Table qtable({"nprobe", "recall@" + std::to_string(top_k),
                   "float us/q", quant + " us/q", "speedup"});
     quant_recall_ok = false;
     quant_perf_ok = false;
     for (std::size_t nprobe : {4, 8, 16, 32}) {
-      if (nprobe >= ivf.nlist()) break;
+      if (nprobe >= ivf_nlist) break;
       std::vector<std::vector<serve::Neighbor>> fres(eval_queries);
       std::vector<std::vector<serve::Neighbor>> qres(eval_queries);
       const double f_ms = time_ms([&] {
@@ -564,7 +563,7 @@ int main(int argc, char** argv) {
               "(%zu queries, median of 5):\n", eval_queries);
   const auto scan_workload = [&] {
     for (std::size_t q = 0; q < eval_queries; ++q) {
-      exact.topk(query_nodes[q], top_k);
+      (void)exact.topk(query_nodes[q], top_k);
     }
   };
   const double obs_on_ms = time_ms(scan_workload, 5);

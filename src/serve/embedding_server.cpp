@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "serve/sharded_query.hpp"
-
 namespace seqge::serve {
 
 namespace {
@@ -39,23 +37,13 @@ ServeMetrics& serve_metrics() {
 
 }  // namespace
 
-EmbeddingServer::EmbeddingServer(std::shared_ptr<const EmbeddingStore> store,
-                                 ServerConfig cfg)
-    : EmbeddingServer(std::move(store), nullptr, cfg) {}
-
 EmbeddingServer::EmbeddingServer(
     std::shared_ptr<const ShardedEmbeddingStore> store, ServerConfig cfg)
-    : EmbeddingServer(nullptr, std::move(store), cfg) {}
-
-EmbeddingServer::EmbeddingServer(
-    std::shared_ptr<const EmbeddingStore> store,
-    std::shared_ptr<const ShardedEmbeddingStore> sharded, ServerConfig cfg)
     : store_(std::move(store)),
-      sharded_store_(std::move(sharded)),
       cfg_(cfg),
       queue_(cfg.queue_capacity == 0 ? 1 : cfg.queue_capacity),
       latency_hist_(obs::default_latency_buckets_us()) {
-  if (store_ == nullptr && sharded_store_ == nullptr) {
+  if (store_ == nullptr) {
     throw std::invalid_argument("EmbeddingServer: null store");
   }
   if (cfg_.threads == 0) cfg_.threads = 1;
@@ -206,45 +194,34 @@ std::optional<std::future<ScoreBatchResult>> EmbeddingServer::try_score_batch(
 }
 
 std::uint64_t EmbeddingServer::store_version() const {
-  return store_ != nullptr ? store_->version() : sharded_store_->version();
+  return store_->version();
 }
 
-std::shared_ptr<const SearchEngine> EmbeddingServer::engine() {
+std::shared_ptr<const ShardedQueryEngine> EmbeddingServer::engine() {
   const std::uint64_t live = store_version();
   if (live == 0) return nullptr;
   auto cached = engine_.load(std::memory_order_acquire);
   if (cached != nullptr && cached->version() >= live) return cached;
 
-  // A rebuild (IVF: k-means over every node) can take a while; while
-  // one worker builds, the rest keep answering from the still-valid
-  // previous snapshot instead of stalling the whole pool.
+  // A rebuild (IVF: k-means over every changed shard) can take a while;
+  // while one worker builds, the rest keep answering from the
+  // still-valid previous engine instead of stalling the whole pool.
   std::unique_lock lock(rebuild_mutex_, std::try_to_lock);
   if (!lock.owns_lock()) {
     if (cached != nullptr) return cached;
     lock.lock();  // no engine yet — nothing to serve, must wait
   }
   cached = engine_.load(std::memory_order_acquire);
-  std::shared_ptr<const SearchEngine> built;
-  if (store_ != nullptr) {
-    const auto snap = store_->current();  // may be newer than `live`
-    if (cached != nullptr && cached->version() >= snap->version) {
-      return cached;
-    }
-    built = std::make_shared<const QueryEngine>(snap, cfg_.index);
-  } else {
-    if (cached != nullptr && cached->version() >= sharded_store_->version()) {
-      return cached;
-    }
-    // Incremental: reuse/refresh the previous engine's per-shard state
-    // instead of re-clustering every shard on each publish.
-    const auto* prev =
-        dynamic_cast<const ShardedQueryEngine*>(cached.get());
-    built = std::make_shared<const ShardedQueryEngine>(
-        *sharded_store_,
-        ShardedIndexConfig{cfg_.index, cfg_.ivf_reassign_threshold,
-                           cfg_.scan_threads},
-        prev);
+  if (cached != nullptr && cached->version() >= store_->version()) {
+    return cached;
   }
+  // Incremental: reuse/refresh the previous engine's per-shard state
+  // instead of re-clustering every shard on each publish.
+  auto built = std::make_shared<const ShardedQueryEngine>(
+      *store_,
+      ShardedIndexConfig{cfg_.index, cfg_.ivf_reassign_threshold,
+                         cfg_.scan_threads},
+      cached.get());
   engine_.store(built, std::memory_order_release);
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
   serve_metrics().rebuilds->add();

@@ -1,23 +1,18 @@
 #pragma once
 // Multi-threaded embedding server: the request loop that turns a
-// snapshot store + query engine into something a front-end can call
-// while training runs. Requests (top-k / edge-score) enter a
+// ShardedEmbeddingStore + ShardedQueryEngine into something a front-end
+// can call while training runs. Requests (top-k / edge-score) enter a
 // BoundedQueue (util/bounded_queue.hpp — the same primitive that backs
 // the training pipeline); a pool of worker threads answers them against
-// the *latest* store version, rebuilding the per-version SearchEngine
-// exactly once per published version. Each response carries the
-// version it was answered from, so clients can observe freshness, and
-// each request's queue+service latency is recorded for the percentile
-// summary.
-//
-// Two store backends route through the same worker pool:
-//  * EmbeddingStore — one contiguous snapshot per version; each new
-//    version builds a fresh QueryEngine (full IVF re-cluster).
-//  * ShardedEmbeddingStore — per-shard copy-on-write snapshots; each
-//    new version builds a ShardedQueryEngine *incrementally from the
-//    previous engine*: untouched shards are shared, changed shards
-//    re-assign only rows that moved (serve/sharded_query.hpp), so
-//    high-cadence delta publishing does not trigger full re-clustering.
+// the *latest* store version, building the per-version engine exactly
+// once per published version. Each new engine is built incrementally
+// from the previous one: untouched shards are shared, changed shards
+// re-assign only rows that moved (serve/sharded_query.hpp), so
+// high-cadence delta publishing does not trigger full re-clustering. A
+// one-shard store (the default) is the single-matrix case. Each
+// response carries the version it was answered from, so clients can
+// observe freshness, and each request's queue+service latency is
+// recorded for the percentile summary.
 //
 // Threading guarantees: submission (topk/score) is safe from any
 // number of client threads; responses are fulfilled exactly once; the
@@ -41,33 +36,27 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "serve/query_engine.hpp"
+#include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
 #include "util/bounded_queue.hpp"
 
 namespace seqge::serve {
 
-class ShardedQueryEngine;
-
 struct ServerConfig {
   std::size_t threads = 2;          ///< worker pool size (>= 1)
   std::size_t queue_capacity = 1024;
-  /// Engine built for each new snapshot version. Brute force by default;
-  /// switch to kIvf for sub-linear search on large stores. With a
-  /// sharded store this is the per-shard index configuration.
+  /// Per-shard index configuration of the engine built for each new
+  /// store version. Brute force by default; switch to kIvf for
+  /// sub-linear search on large stores.
   IndexConfig index{};
   Similarity similarity = Similarity::kCosine;
-  /// Sharded stores only: centroid-affinity decay past which an
-  /// incrementally refreshed row re-runs its nearest-IVF-cell scan
+  /// Centroid-affinity decay past which an incrementally refreshed row
+  /// re-runs its nearest-IVF-cell scan
   /// (ShardedIndexConfig::reassign_threshold).
   float ivf_reassign_threshold = 0.05f;
-  /// Sharded stores only: threads per query for the per-shard fan-out
+  /// Threads per query for the per-shard fan-out
   /// (ShardedIndexConfig::scan_threads; 0/1 = sequential scan).
   std::size_t scan_threads = 0;
-  /// Unused since the latency ring was replaced by an obs::Histogram
-  /// (fixed-size regardless of request count); kept so existing
-  /// call sites keep compiling.
-  std::size_t latency_window = 1 << 16;
 };
 
 struct TopKResult {
@@ -117,11 +106,6 @@ class EmbeddingServer {
   /// The store is shared with the producer (trainer) and must outlive
   /// the server. Workers start immediately; requests submitted before
   /// the first publish fail with std::runtime_error.
-  EmbeddingServer(std::shared_ptr<const EmbeddingStore> store,
-                  ServerConfig cfg = {});
-  /// Sharded-store variant: workers answer through a ShardedQueryEngine
-  /// (fan-out/merge; incremental per-shard index refresh on each new
-  /// version).
   EmbeddingServer(std::shared_ptr<const ShardedEmbeddingStore> store,
                   ServerConfig cfg = {});
   ~EmbeddingServer();
@@ -192,11 +176,6 @@ class EmbeddingServer {
   [[nodiscard]] std::uint64_t store_version() const;
 
  private:
-  /// Shared init: exactly one of the stores is non-null.
-  EmbeddingServer(std::shared_ptr<const EmbeddingStore> store,
-                  std::shared_ptr<const ShardedEmbeddingStore> sharded,
-                  ServerConfig cfg);
-
   enum class RequestType { kTopK, kScore, kTopKBatch, kScoreBatch };
   struct Request {
     RequestType type = RequestType::kTopK;
@@ -221,19 +200,17 @@ class EmbeddingServer {
   bool submit(Request&& req, bool blocking);
   /// Current engine, rebuilt (by exactly one worker) when the store has
   /// published a newer version than the cached engine was built for.
-  std::shared_ptr<const SearchEngine> engine();
+  std::shared_ptr<const ShardedQueryEngine> engine();
   void record(const Request& req, std::size_t weight);
 
-  // Exactly one of the two stores is set.
-  std::shared_ptr<const EmbeddingStore> store_;
-  std::shared_ptr<const ShardedEmbeddingStore> sharded_store_;
+  std::shared_ptr<const ShardedEmbeddingStore> store_;
   ServerConfig cfg_;
   BoundedQueue<Request> queue_;
 
   // Engine cache: read with one atomic load on the hot path; rebuilds
   // serialize on rebuild_mutex_ with a double-check so concurrent
   // workers noticing the same new version build it once.
-  std::atomic<std::shared_ptr<const SearchEngine>> engine_{nullptr};
+  std::atomic<std::shared_ptr<const ShardedQueryEngine>> engine_{nullptr};
   std::mutex rebuild_mutex_;
   std::atomic<std::uint64_t> rebuilds_{0};
 

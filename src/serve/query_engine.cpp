@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 #include "linalg/kernels.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace seqge::serve {
@@ -125,265 +123,6 @@ void IvfIndex::rebuild_lists() {
   for (std::size_t r = 0; r < n; ++r) {
     list_nodes[cursor[cell[r]]++] = static_cast<std::uint32_t>(r);
   }
-}
-
-// --- QueryEngine ------------------------------------------------------------
-
-QueryEngine::QueryEngine(std::shared_ptr<const Snapshot> snapshot,
-                         IndexConfig cfg)
-    : snap_(std::move(snapshot)), cfg_(cfg) {
-  if (snap_ == nullptr) {
-    throw std::invalid_argument("QueryEngine: null snapshot");
-  }
-  if (snap_->embedding.empty()) {
-    throw std::invalid_argument("QueryEngine: empty snapshot embedding");
-  }
-  normalized_ = snap_->embedding;
-  l2_normalize_rows(normalized_);
-  if (cfg_.kind == IndexConfig::Kind::kIvf) build_ivf();
-  if (cfg_.quant != QuantMode::kNone) {
-    // IVF quantizes the packed (list-order) rows so a probed cell scans
-    // one contiguous code stripe; brute force quantizes node order.
-    const MatrixF& source =
-        cfg_.kind == IndexConfig::Kind::kIvf ? packed_rows_ : normalized_;
-    quant_ = QuantizedRowStore(source,
-                               {cfg_.quant_block, cfg_.quant_pow2,
-                                cfg_.quant == QuantMode::kBfp});
-  }
-}
-
-void QueryEngine::build_ivf() {
-  ivf_.build(normalized_, cfg_);
-  // Re-pack rows in list order: a probed cell is then one sequential
-  // stripe instead of a gather over the whole matrix.
-  const std::size_t n = normalized_.rows();
-  packed_rows_ = MatrixF(n, normalized_.cols());
-  for (std::size_t i = 0; i < n; ++i) {
-    copy<float>(normalized_.row(ivf_.list_nodes[i]), packed_rows_.row(i));
-  }
-}
-
-std::vector<Neighbor> QueryEngine::scan_topk(
-    std::span<const float> query, std::size_t k, Similarity sim,
-    NodeId exclude, std::span<const std::uint32_t> candidates) const {
-  const MatrixF& rows =
-      sim == Similarity::kCosine ? normalized_ : snap_->embedding;
-  TopKAccumulator top(k);
-  if (candidates.empty()) {
-    for (std::size_t r = 0; r < rows.rows(); ++r) {
-      if (r == exclude || snap_->tombstoned(r)) continue;
-      top.offer(static_cast<NodeId>(r), dot<float>(rows.row(r), query));
-    }
-  } else {
-    for (std::uint32_t r : candidates) {
-      if (r == exclude || snap_->tombstoned(r)) continue;
-      top.offer(r, dot<float>(rows.row(r), query));
-    }
-  }
-  return top.take();
-}
-
-namespace {
-
-/// Hot-path counters: one relaxed add each, no clocks or spans — the
-/// scan path's obs overhead is gated at <= 2% in bench_serving.
-struct QueryMetrics {
-  obs::Counter* scans;
-  obs::Counter* ivf_probes;
-  obs::Counter* quant_candidates;
-  obs::Counter* quant_corrections;
-};
-
-QueryMetrics& query_metrics() {
-  static QueryMetrics m{
-      obs::Registry::global().counter("seqge_query_scans_total", {},
-                                      "Top-k scans executed"),
-      obs::Registry::global().counter("seqge_query_ivf_probes_total", {},
-                                      "IVF cells probed"),
-      obs::Registry::global().counter(
-          "seqge_query_quant_candidates_total", {},
-          "int8 candidates float-re-ranked"),
-      obs::Registry::global().counter(
-          "seqge_query_quant_corrections_total", {},
-          "Final top-k entries the int8 order missed (re-rank saves)"),
-  };
-  return m;
-}
-
-}  // namespace
-
-std::vector<Neighbor> QueryEngine::topk(std::span<const float> query,
-                                        std::size_t k, Similarity sim,
-                                        NodeId exclude,
-                                        std::size_t nprobe_override) const {
-  if (query.size() != snap_->dims()) {
-    throw std::invalid_argument("QueryEngine::topk: query dims mismatch");
-  }
-  query_metrics().scans->add();
-  std::vector<float> unit;
-  std::span<const float> q = query;
-  if (sim == Similarity::kCosine) {
-    unit.assign(query.begin(), query.end());
-    l2_normalize(unit);
-    q = unit;
-  }
-
-  // Quantized scan is cosine-only; dot falls back to the float path.
-  if (cfg_.quant != QuantMode::kNone && sim == Similarity::kCosine &&
-      !quant_.empty()) {
-    return topk_quant(q, k, exclude, nprobe_override);
-  }
-
-  // IVF search is cosine-ordered; dot falls back to the exact scan.
-  if (cfg_.kind == IndexConfig::Kind::kIvf && sim == Similarity::kCosine &&
-      !ivf_.empty()) {
-    const std::size_t nlist = ivf_.nlist();
-    const std::size_t nprobe = std::min(
-        nlist, nprobe_override != 0 ? nprobe_override : cfg_.nprobe);
-    if (nprobe < nlist) {
-      query_metrics().ivf_probes->add(nprobe);
-      // Rank cells by centroid similarity, then scan the nprobe best —
-      // each a contiguous stripe of packed_rows_.
-      std::vector<Neighbor> cells;
-      {
-        TopKAccumulator cell_top(nprobe);
-        for (std::size_t c = 0; c < nlist; ++c) {
-          cell_top.offer(static_cast<NodeId>(c),
-                         dot<float>(ivf_.centroids.row(c), q));
-        }
-        cells = cell_top.take();
-      }
-      TopKAccumulator top(k);
-      for (const Neighbor& cell : cells) {
-        for (std::uint32_t i = ivf_.list_off[cell.node];
-             i < ivf_.list_off[cell.node + 1]; ++i) {
-          const std::uint32_t r = ivf_.list_nodes[i];
-          if (r == exclude || snap_->tombstoned(r)) continue;
-          top.offer(r, dot<float>(packed_rows_.row(i), q));
-        }
-      }
-      return top.take();
-    }
-  }
-  return scan_topk(q, k, sim, exclude, {});
-}
-
-std::vector<Neighbor> QueryEngine::topk_quant(
-    std::span<const float> unit_q, std::size_t k, NodeId exclude,
-    std::size_t nprobe_override) const {
-  const auto qq = QuantizedRowStore::quantize_query(unit_q, quant_.config());
-  const std::size_t rerank = std::max<std::size_t>(cfg_.quant_rerank, 1);
-  const std::size_t cand_k = k * rerank;
-
-  // Stage 1: int8 approximate scan -> cand_k candidates. With IVF the
-  // store indexes packed (list-order) rows, so candidates carry packed
-  // positions; brute force candidates carry node ids directly.
-  const bool use_ivf = cfg_.kind == IndexConfig::Kind::kIvf && !ivf_.empty();
-  TopKAccumulator approx(cand_k);
-  if (use_ivf) {
-    const std::size_t nlist = ivf_.nlist();
-    const std::size_t nprobe = std::min(
-        nlist, nprobe_override != 0 ? nprobe_override : cfg_.nprobe);
-    query_metrics().ivf_probes->add(nprobe);
-    std::vector<Neighbor> cells;
-    {
-      TopKAccumulator cell_top(nprobe);
-      for (std::size_t c = 0; c < nlist; ++c) {
-        cell_top.offer(static_cast<NodeId>(c),
-                       dot<float>(ivf_.centroids.row(c), unit_q));
-      }
-      cells = cell_top.take();
-    }
-    for (const Neighbor& cell : cells) {
-      quant_.scan_range(
-          ivf_.list_off[cell.node], ivf_.list_off[cell.node + 1], qq,
-          [&](std::size_t i, float s) {
-            const std::uint32_t r = ivf_.list_nodes[i];
-            if (r == exclude || snap_->tombstoned(r)) return;
-            approx.offer(static_cast<NodeId>(i), s);
-          });
-    }
-  } else {
-    quant_.scan(qq, [&](std::size_t r, float s) {
-      if (r == exclude || snap_->tombstoned(r)) return;
-      approx.offer(static_cast<NodeId>(r), s);
-    });
-  }
-
-  // Stage 2: float re-rank of the candidates. Map packed positions back
-  // to node ids and offer in ascending node order so score ties resolve
-  // exactly like the float scan's.
-  struct Cand {
-    NodeId node;
-    std::uint32_t packed;
-  };
-  std::vector<Cand> cands;
-  const auto approx_hits = approx.take();
-  cands.reserve(approx_hits.size());
-  for (const Neighbor& h : approx_hits) {
-    const auto p = static_cast<std::uint32_t>(h.node);
-    cands.push_back({use_ivf ? ivf_.list_nodes[p] : h.node, p});
-  }
-  std::sort(cands.begin(), cands.end(),
-            [](const Cand& a, const Cand& b) { return a.node < b.node; });
-  TopKAccumulator top(k);
-  for (const Cand& c : cands) {
-    const auto row =
-        use_ivf ? packed_rows_.row(c.packed) : normalized_.row(c.packed);
-    top.offer(c.node, dot<float>(row, unit_q));
-  }
-  std::vector<Neighbor> final_hits = top.take();
-  if (obs::enabled()) {
-    query_metrics().quant_candidates->add(cands.size());
-    // Re-rank hit rate: how many of the final top-k the int8 order
-    // alone would have missed (i.e. not already in its first k).
-    std::uint64_t corrections = 0;
-    const std::size_t head = std::min(k, approx_hits.size());
-    for (const Neighbor& f : final_hits) {
-      bool in_head = false;
-      for (std::size_t i = 0; i < head; ++i) {
-        const auto p = static_cast<std::uint32_t>(approx_hits[i].node);
-        const NodeId node = use_ivf ? ivf_.list_nodes[p] : approx_hits[i].node;
-        if (node == f.node) {
-          in_head = true;
-          break;
-        }
-      }
-      if (!in_head) ++corrections;
-    }
-    query_metrics().quant_corrections->add(corrections);
-  }
-  return final_hits;
-}
-
-std::vector<Neighbor> QueryEngine::topk(NodeId u, std::size_t k,
-                                        Similarity sim,
-                                        std::size_t nprobe_override) const {
-  if (u >= snap_->num_nodes()) {
-    throw std::invalid_argument("QueryEngine::topk: node out of range");
-  }
-  // Route through the raw row: the span overload re-normalizes for
-  // cosine, which is a no-op for already-unit rows but keeps one path.
-  return topk(snap_->embedding.row(u), k, sim, u, nprobe_override);
-}
-
-std::vector<std::vector<Neighbor>> QueryEngine::topk_batch(
-    std::span<const NodeId> nodes, std::size_t k, Similarity sim) const {
-  std::vector<std::vector<Neighbor>> out(nodes.size());
-  // An exception crossing an OpenMP region boundary terminates the
-  // process; capture the first one and rethrow on the calling thread.
-  std::exception_ptr error = nullptr;
-#pragma omp parallel for if (nodes.size() > 8) schedule(dynamic)
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    try {
-      out[i] = topk(nodes[i], k, sim);
-    } catch (...) {
-#pragma omp critical(seqge_topk_batch_error)
-      if (error == nullptr) error = std::current_exception();
-    }
-  }
-  if (error != nullptr) std::rethrow_exception(error);
-  return out;
 }
 
 double recall_at_k(std::span<const Neighbor> exact,

@@ -1,29 +1,17 @@
 #pragma once
-// Read-side query engines over immutable embedding snapshots.
+// Building blocks of the query engine (serve/sharded_query.hpp): the
+// result type, the top-k accumulator every scan offers into, the shared
+// L2 normalization, the index configuration, and the IVF quantizer.
 //
-// SearchEngine is the minimal virtual surface the serving layer
-// (serve/embedding_server.hpp) needs — version / top-k / edge-score —
-// with two implementations:
-//  * QueryEngine (this header) over one contiguous Snapshot
-//    (serve/embedding_store.hpp);
-//  * ShardedQueryEngine (serve/sharded_query.hpp) fanning out across
-//    the per-shard snapshots of a ShardedEmbeddingStore.
-//
-// QueryEngine holds a shared_ptr<const Snapshot>, so the snapshot
-// outlives any in-flight query even after the store moves on. All query
-// methods are const and safe to call from many threads at once —
-// per-call scratch lives on the caller's stack.
-//
-// Two k-NN paths:
+// Two k-NN paths share them:
 //  * exact brute force — every row scored with the dense kernels of
 //    linalg/kernels.hpp (dot or cosine; cosine uses rows L2-normalized
-//    once at construction, so a query is a pure dot scan);
-//  * IVF (inverted-file) — a coarse spherical k-means quantizer built
-//    per snapshot partitions the nodes into nlist cells; a query scores
-//    the nlist centroids, then scans only the nprobe nearest cells.
-//    Sub-linear in n, with recall controlled by nprobe (nprobe == nlist
-//    degenerates to an exact scan). IVF search is cosine-ordered; dot
-//    queries always take the exact path.
+//    once at engine construction, so a query is a pure dot scan);
+//  * IVF (inverted-file) — a coarse spherical k-means quantizer
+//    partitions the nodes into nlist cells; a query scores the nlist
+//    centroids, then scans only the nprobe nearest cells. Sub-linear in
+//    n, with recall controlled by nprobe (nprobe == nlist degenerates
+//    to an exact scan).
 //
 // Link-prediction scoring reuses the eval/ scorers (EdgeScore,
 // score_edge) so a served score is bit-identical to the offline
@@ -31,13 +19,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "eval/link_prediction.hpp"
 #include "linalg/matrix.hpp"
-#include "serve/embedding_store.hpp"
 #include "serve/quantized_store.hpp"
 
 namespace seqge::serve {
@@ -49,37 +35,12 @@ struct Neighbor {
 
 enum class Similarity { kCosine, kDot };
 
-/// What the server routes requests through: any engine answering
-/// against one immutable embedding version. Implementations are
-/// immutable after construction, so every method is safe to call from
-/// many threads at once with no locking.
-class SearchEngine {
- public:
-  virtual ~SearchEngine() = default;
-
-  /// Store version this engine was built for (response freshness tag).
-  [[nodiscard]] virtual std::uint64_t version() const = 0;
-
-  /// Top-k most similar nodes to node u (u itself excluded), best
-  /// first; ties broken by ascending node id. k is clamped to the
-  /// number of candidates.
-  [[nodiscard]] virtual std::vector<Neighbor> topk(
-      NodeId u, std::size_t k, Similarity sim = Similarity::kCosine,
-      std::size_t nprobe_override = 0) const = 0;
-
-  /// Link-prediction score of candidate edge (u, v), bit-identical to
-  /// eval/link_prediction.hpp's score_edge on the same embedding.
-  [[nodiscard]] virtual double score(NodeId u, NodeId v,
-                                     EdgeScore kind = EdgeScore::kCosine)
-      const = 0;
-};
-
 /// Fixed-capacity top-k accumulator: a min-heap on score keeps the k
 /// best seen so far, so a full scan is O(n log k). offer() admission
 /// depends only on scores (ties at the cutoff keep the earlier
-/// arrival), so two engines offering the same (node, score) stream in
+/// arrival), so two scans offering the same (node, score) stream in
 /// the same order produce identical results — that is what makes the
-/// sharded fan-out bit-identical to the single-store exact scan.
+/// sharded fan-out bit-identical to a single in-order exact scan.
 class TopKAccumulator {
  public:
   explicit TopKAccumulator(std::size_t k) : k_(k) { heap_.reserve(k + 1); }
@@ -109,7 +70,7 @@ class TopKAccumulator {
 
 /// L2-normalize every row in place (zero rows stay zero) — the shared
 /// preprocessing of every cosine path; using exactly this function
-/// everywhere keeps scores bit-identical across engines.
+/// everywhere keeps scores bit-identical across shard counts.
 void l2_normalize_rows(MatrixF& m);
 /// L2-normalize one vector in place.
 void l2_normalize(std::span<float> v);
@@ -148,10 +109,10 @@ struct IndexConfig {
 };
 
 /// Coarse spherical-k-means quantizer + CSR member lists over a set of
-/// L2-normalized rows — the IVF state shared by QueryEngine (full
-/// rebuild per snapshot) and the sharded engine's incremental
-/// maintenance (serve/sharded_query.hpp), which keeps the centroids and
-/// re-assigns only rows that moved.
+/// L2-normalized rows — one per engine shard, built in full on a fresh
+/// shard and maintained incrementally afterwards: the engine
+/// (serve/sharded_query.hpp) keeps the centroids and re-assigns only
+/// rows that moved.
 struct IvfIndex {
   MatrixF centroids;                      ///< nlist x dims, unit rows
   std::vector<std::uint32_t> cell;        ///< row -> cell
@@ -180,85 +141,6 @@ struct IvfIndex {
                                     float& best_dot) const;
   /// Rebuild list_off/list_nodes from cell (after re-assignments).
   void rebuild_lists();
-};
-
-class QueryEngine : public SearchEngine {
- public:
-  /// Builds the per-snapshot state (normalized rows; the IVF index when
-  /// cfg.kind == kIvf). Throws on a null snapshot.
-  explicit QueryEngine(std::shared_ptr<const Snapshot> snapshot,
-                       IndexConfig cfg = {});
-
-  [[nodiscard]] const Snapshot& snapshot() const noexcept { return *snap_; }
-  [[nodiscard]] std::uint64_t version() const noexcept override {
-    return snap_->version;
-  }
-  [[nodiscard]] const IndexConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return snap_->num_nodes();
-  }
-  [[nodiscard]] std::size_t nlist() const noexcept {
-    return ivf_.nlist();
-  }
-
-  /// Top-k most similar nodes to node u (u itself excluded), best
-  /// first. k is clamped to the number of candidates.
-  [[nodiscard]] std::vector<Neighbor> topk(
-      NodeId u, std::size_t k, Similarity sim = Similarity::kCosine,
-      std::size_t nprobe_override = 0) const override;
-
-  /// Top-k against an arbitrary query vector (dims entries).
-  /// `exclude` removes one node id from the results (pass num_nodes()
-  /// or anything out of range to keep all).
-  [[nodiscard]] std::vector<Neighbor> topk(
-      std::span<const float> query, std::size_t k,
-      Similarity sim = Similarity::kCosine, NodeId exclude = ~NodeId{0},
-      std::size_t nprobe_override = 0) const;
-
-  /// Batch top-k for many source nodes (OpenMP-parallel over queries —
-  /// the serving analogue of the trainer's batched walks).
-  [[nodiscard]] std::vector<std::vector<Neighbor>> topk_batch(
-      std::span<const NodeId> nodes, std::size_t k,
-      Similarity sim = Similarity::kCosine) const;
-
-  /// Link-prediction score of candidate edge (u, v) — exactly
-  /// eval/link_prediction.hpp's score_edge on this snapshot.
-  [[nodiscard]] double score(NodeId u, NodeId v,
-                             EdgeScore kind = EdgeScore::kCosine)
-      const override {
-    return score_edge(snap_->embedding, u, v, kind);
-  }
-
-  /// ROC-AUC of held-out edges vs sampled non-edges on this snapshot
-  /// (the eval/ link-prediction harness, served online).
-  [[nodiscard]] double link_prediction_auc(const Graph& observed_graph,
-                                           std::span<const Edge> held_out,
-                                           EdgeScore kind, Rng& rng) const {
-    return seqge::link_prediction_auc(snap_->embedding, observed_graph,
-                                      held_out, kind, rng);
-  }
-
- private:
-  void build_ivf();
-  [[nodiscard]] std::vector<Neighbor> scan_topk(
-      std::span<const float> query, std::size_t k, Similarity sim,
-      NodeId exclude, std::span<const std::uint32_t> candidates) const;
-  /// Int8 candidate scan + float re-rank (cfg_.quant == kInt8, cosine).
-  [[nodiscard]] std::vector<Neighbor> topk_quant(
-      std::span<const float> unit_q, std::size_t k, NodeId exclude,
-      std::size_t nprobe_override) const;
-
-  std::shared_ptr<const Snapshot> snap_;
-  IndexConfig cfg_;
-  MatrixF normalized_;  ///< rows L2-normalized (zero rows stay zero)
-  // IVF state (empty unless cfg_.kind == kIvf), plus the normalized
-  // rows re-packed in list order so a probed cell scans contiguously.
-  IvfIndex ivf_;
-  MatrixF packed_rows_;  ///< row i = normalized_.row(ivf_.list_nodes[i])
-  // Int8 codes (empty unless cfg_.quant == kInt8) over normalized_ —
-  // or over packed_rows_ when IVF is on, so probed cells stay
-  // contiguous in the code array too.
-  QuantizedRowStore quant_;
 };
 
 /// recall@k of `approx` against exact ground truth `exact`: fraction of

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/kernels.hpp"
 #include "obs/metrics.hpp"
@@ -18,6 +19,32 @@ obs::Histogram* shard_scan_us() {
       "seqge_query_shard_scan_us", obs::default_latency_buckets_us(), {},
       "One shard's scan within a fan-out (microseconds)");
   return h;
+}
+
+/// Query counters: one relaxed add each; the int8 re-rank accounting
+/// runs only while obs is enabled (bench_serving gates the scan path's
+/// obs overhead at <= 2%).
+struct QueryMetrics {
+  obs::Counter* scans;
+  obs::Counter* ivf_probes;
+  obs::Counter* quant_candidates;
+  obs::Counter* quant_corrections;
+};
+
+QueryMetrics& query_metrics() {
+  static QueryMetrics m{
+      obs::Registry::global().counter("seqge_query_scans_total", {},
+                                      "Top-k scans executed"),
+      obs::Registry::global().counter("seqge_query_ivf_probes_total", {},
+                                      "IVF cells probed"),
+      obs::Registry::global().counter(
+          "seqge_query_quant_candidates_total", {},
+          "int8 candidates float-re-ranked"),
+      obs::Registry::global().counter(
+          "seqge_query_quant_corrections_total", {},
+          "Final top-k entries the int8 order missed (re-rank saves)"),
+  };
+  return m;
 }
 
 }  // namespace
@@ -41,13 +68,11 @@ class ShardedQueryEngine::Shard {
     l2_normalize_rows(normalized_);
     if (cfg.kind == IndexConfig::Kind::kIvf && snap_->num_rows() > 0) {
       ivf_.build(normalized_, cfg);
+      pack();
     }
     if (cfg.quant != QuantMode::kNone && snap_->num_rows() > 0) {
-      // Shards quantize local node order (no packed re-order: shard IVF
-      // lists index normalized_ directly).
-      quant_ = QuantizedRowStore(normalized_,
-                                 {cfg.quant_block, cfg.quant_pow2,
-                                  cfg.quant == QuantMode::kBfp});
+      quantize({cfg.quant_block, cfg.quant_pow2,
+                cfg.quant == QuantMode::kBfp});
     }
   }
 
@@ -59,12 +84,15 @@ class ShardedQueryEngine::Shard {
   /// assignment-time baseline (IvfIndex::cell_dot) — measured against
   /// the baseline, not the previous refresh, so sub-threshold drift
   /// accumulates across refreshes instead of escaping re-assignment
-  /// forever.
+  /// forever. The packed rows (and their codes) are patched in place
+  /// unless a row changed cell, which re-packs the whole shard.
   Shard(const Shard& prev, std::shared_ptr<const ShardSnapshot> snap,
         float threshold, ShardedRefreshStats& stats)
       : snap_(std::move(snap)),
         normalized_(prev.normalized_),
         ivf_(prev.ivf_),
+        packed_(prev.packed_),
+        packed_pos_(prev.packed_pos_),
         quant_(prev.quant_) {
     std::vector<float> fresh(snap_->dims);
     bool lists_dirty = false;
@@ -74,25 +102,37 @@ class ShardedQueryEngine::Shard {
       l2_normalize(fresh);
       auto dst = normalized_.row(r);
       std::copy(fresh.begin(), fresh.end(), dst.begin());
-      if (!quant_.empty()) quant_.requantize_row(r, dst);
       ++stats.rows_updated;
-      if (!ivf_.empty()) {
-        const float affinity =
-            dot<float>(ivf_.centroids.row(ivf_.cell[r]), dst);
-        if (ivf_.cell_dot[r] - affinity > threshold) {
-          float best_dot = -2.0f;
-          const auto c =
-              static_cast<std::uint32_t>(ivf_.nearest(dst, best_dot));
-          ivf_.cell_dot[r] = best_dot;  // new assignment-time baseline
-          if (c != ivf_.cell[r]) {
-            ivf_.cell[r] = c;
-            lists_dirty = true;
-            ++stats.rows_reassigned;
-          }
+      if (ivf_.empty()) {
+        if (!quant_.empty()) quant_.requantize_row(r, dst);
+        continue;
+      }
+      const float affinity =
+          dot<float>(ivf_.centroids.row(ivf_.cell[r]), dst);
+      if (ivf_.cell_dot[r] - affinity > threshold) {
+        float best_dot = -2.0f;
+        const auto c =
+            static_cast<std::uint32_t>(ivf_.nearest(dst, best_dot));
+        ivf_.cell_dot[r] = best_dot;  // new assignment-time baseline
+        if (c != ivf_.cell[r]) {
+          ivf_.cell[r] = c;
+          lists_dirty = true;
+          ++stats.rows_reassigned;
         }
       }
     }
-    if (lists_dirty) ivf_.rebuild_lists();
+    if (ivf_.empty()) return;
+    if (lists_dirty) {
+      ivf_.rebuild_lists();
+      pack();
+      if (!quant_.empty()) quantize(quant_.config());
+      return;
+    }
+    for (std::uint32_t r : snap_->changed_since_base) {
+      const std::uint32_t i = packed_pos_[r];
+      copy<float>(normalized_.row(r), packed_.row(i));
+      if (!quant_.empty()) quant_.requantize_row(i, packed_.row(i));
+    }
   }
 
   [[nodiscard]] std::uint64_t version() const noexcept {
@@ -131,84 +171,125 @@ class ShardedQueryEngine::Shard {
     }
   }
 
+  /// Cells scan_ivf / scan_quant probe for `nprobe`: 0 when they fall
+  /// back to scanning every row.
+  [[nodiscard]] std::size_t probes(std::size_t nprobe) const noexcept {
+    return ivf_.empty() || nprobe >= ivf_.nlist() ? 0 : nprobe;
+  }
+
   /// Probe the `nprobe` best cells of this shard's quantizer (cosine
-  /// only). Falls back to the exact cosine scan when the shard has no
-  /// index or nprobe covers every cell.
+  /// only); each probed cell is one contiguous stripe of packed_. Falls
+  /// back to the exact cosine scan when the shard has no index or
+  /// nprobe covers every cell.
   void scan_ivf(std::span<const float> unit_q, std::size_t nprobe,
                 NodeId exclude_global, TopKAccumulator& top) const {
-    if (ivf_.empty() || nprobe >= ivf_.nlist()) {
+    if (probes(nprobe) == 0) {
       scan_exact(unit_q, Similarity::kCosine, exclude_global, top);
       return;
     }
-    TopKAccumulator cell_top(nprobe);
-    for (std::size_t c = 0; c < ivf_.nlist(); ++c) {
-      cell_top.offer(static_cast<NodeId>(c),
-                     dot<float>(ivf_.centroids.row(c), unit_q));
-    }
     const NodeId begin = snap_->row_begin;
-    for (const Neighbor& cell : cell_top.take()) {
+    for (const Neighbor& cell : rank_cells(unit_q, nprobe)) {
       for (std::uint32_t i = ivf_.list_off[cell.node];
            i < ivf_.list_off[cell.node + 1]; ++i) {
         const std::uint32_t r = ivf_.list_nodes[i];
         const NodeId node = begin + static_cast<NodeId>(r);
         if (node == exclude_global || snap_->tombstoned(r)) continue;
-        top.offer(node, dot<float>(normalized_.row(r), unit_q));
+        top.offer(node, dot<float>(packed_.row(i), unit_q));
       }
     }
   }
 
-  /// Normalized row for the float re-rank of the quantized path.
+  /// Normalized row for the float re-rank of the quantized path. With
+  /// IVF it is read from packed_ (same values), where the cells just
+  /// probed keep it in cache.
   [[nodiscard]] std::span<const float> normalized_row(
       std::size_t local) const {
-    return normalized_.row(local);
+    return ivf_.empty() ? normalized_.row(local)
+                        : packed_.row(packed_pos_[local]);
   }
 
-  /// Int8 approximate exact scan: every row scored against the
-  /// quantized query, offering global node ids in local row order.
-  void scan_exact_quant(const QuantizedRowStore::QuantizedQuery& qq,
-                        NodeId exclude_global,
-                        TopKAccumulator& top) const {
-    const NodeId begin = snap_->row_begin;
-    quant_.scan(qq, [&](std::size_t r, float s) {
-      const NodeId node = begin + static_cast<NodeId>(r);
-      if (node == exclude_global || snap_->tombstoned(r)) return;
-      top.offer(node, s);
-    });
-  }
-
-  /// Int8 approximate IVF scan: cells ranked with the float centroids,
-  /// probed rows scored against the quantized query. Falls back to the
-  /// quantized exact scan when the shard has no index.
-  void scan_ivf_quant(std::span<const float> unit_q,
-                      const QuantizedRowStore::QuantizedQuery& qq,
-                      std::size_t nprobe, NodeId exclude_global,
-                      TopKAccumulator& top) const {
-    if (ivf_.empty() || nprobe >= ivf_.nlist()) {
-      scan_exact_quant(qq, exclude_global, top);
-      return;
-    }
-    TopKAccumulator cell_top(nprobe);
-    for (std::size_t c = 0; c < ivf_.nlist(); ++c) {
-      cell_top.offer(static_cast<NodeId>(c),
-                     dot<float>(ivf_.centroids.row(c), unit_q));
-    }
-    const NodeId begin = snap_->row_begin;
-    for (const Neighbor& cell : cell_top.take()) {
-      for (std::uint32_t i = ivf_.list_off[cell.node];
-           i < ivf_.list_off[cell.node + 1]; ++i) {
-        const std::uint32_t r = ivf_.list_nodes[i];
-        const NodeId node = begin + static_cast<NodeId>(r);
-        if (node == exclude_global || snap_->tombstoned(r)) continue;
-        top.offer(node, quant_.score(r, qq));
+  /// Int8 approximate scan offering global node ids: with an index and
+  /// nprobe below nlist, the probed cells (cells ranked with the float
+  /// centroids, each one contiguous code stripe); otherwise every row.
+  void scan_quant(std::span<const float> unit_q,
+                  const QuantizedRowStore::QuantizedQuery& qq,
+                  std::size_t nprobe, NodeId exclude_global,
+                  TopKAccumulator& top) const {
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    if (probes(nprobe) == 0) {
+      ranges.emplace_back(0, num_rows());
+    } else {
+      for (const Neighbor& cell : rank_cells(unit_q, nprobe)) {
+        ranges.emplace_back(ivf_.list_off[cell.node],
+                            ivf_.list_off[cell.node + 1]);
       }
+    }
+    // Loop invariants copied into the row callback, and one scan_range
+    // call site so the fused kernel inlines: top.offer stores through
+    // the heap, so anything read through a reference would be reloaded
+    // on every row.
+    const NodeId row_begin = snap_->row_begin;
+    const std::uint8_t* dead = snap_->dead.empty() ? nullptr
+                                                   : snap_->dead.data();
+    const std::uint32_t* rows =
+        ivf_.empty() ? nullptr : ivf_.list_nodes.data();
+    for (const auto& [begin, end] : ranges) {
+      quant_.scan_range(
+          begin, end, qq,
+          [row_begin, exclude_global, dead, rows, &top](std::size_t i,
+                                                        float s) {
+            const std::uint32_t r =
+                rows != nullptr ? rows[i] : static_cast<std::uint32_t>(i);
+            const NodeId node = row_begin + static_cast<NodeId>(r);
+            if (node == exclude_global || (dead != nullptr && dead[r] != 0)) {
+              return;
+            }
+            top.offer(node, s);
+          });
     }
   }
 
  private:
+  /// Re-pack normalized_ in IVF list order: a probed cell is then one
+  /// sequential stripe instead of a gather over the whole shard.
+  void pack() {
+    const std::size_t n = normalized_.rows();
+    packed_ = MatrixF(n, normalized_.cols());
+    packed_pos_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t r = ivf_.list_nodes[i];
+      copy<float>(normalized_.row(r), packed_.row(i));
+      packed_pos_[r] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  /// Int8 codes over the rows the scans read: packed_ with IVF (so
+  /// probed cells stay contiguous in the code array too), node order
+  /// without.
+  void quantize(const QuantConfig& qcfg) {
+    quant_ = QuantizedRowStore(ivf_.empty() ? normalized_ : packed_, qcfg);
+  }
+
+  /// The `nprobe` cells whose centroids score best against unit_q.
+  [[nodiscard]] std::vector<Neighbor> rank_cells(
+      std::span<const float> unit_q, std::size_t nprobe) const {
+    TopKAccumulator cell_top(nprobe);
+    for (std::size_t c = 0; c < ivf_.nlist(); ++c) {
+      cell_top.offer(static_cast<NodeId>(c),
+                     dot<float>(ivf_.centroids.row(c), unit_q));
+    }
+    return cell_top.take();
+  }
+
   std::shared_ptr<const ShardSnapshot> snap_;
   MatrixF normalized_;
   IvfIndex ivf_;
-  QuantizedRowStore quant_;  ///< empty unless IndexConfig::quant == kInt8
+  // With IVF: packed_.row(i) == normalized_.row(ivf_.list_nodes[i]),
+  // and packed_pos_ is the inverse (local row -> packed position) that
+  // lets an incremental refresh patch rows in place.
+  MatrixF packed_;
+  std::vector<std::uint32_t> packed_pos_;
+  QuantizedRowStore quant_;  ///< empty unless IndexConfig::quant is set
 };
 
 ShardedQueryEngine::ShardedQueryEngine(const ShardedEmbeddingStore& store,
@@ -279,9 +360,11 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
     throw std::invalid_argument(
         "ShardedQueryEngine::topk: query dims mismatch");
   }
-  static obs::Counter* const scans = obs::Registry::global().counter(
-      "seqge_query_scans_total", {}, "Top-k scans executed");
-  scans->add();
+  QueryMetrics& metrics = query_metrics();
+  metrics.scans->add();
+  // Clamp before any accumulator reserves k slots: a hostile wire k
+  // must not turn into a multi-GiB allocation.
+  k = std::min(k, num_nodes());
   std::vector<float> unit;
   std::span<const float> q = query;
   if (sim == Similarity::kCosine) {
@@ -297,6 +380,11 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
       cfg_.index.quant != QuantMode::kNone && sim == Similarity::kCosine;
   const std::size_t nprobe =
       nprobe_override != 0 ? nprobe_override : cfg_.index.nprobe;
+  if (use_ivf) {
+    std::size_t probes = 0;
+    for (const auto& shard : shards_) probes += shard->probes(nprobe);
+    if (probes != 0) metrics.ivf_probes->add(probes);
+  }
 
   // Quantized scans collect k * rerank approximate candidates for the
   // float re-rank below; float scans accumulate the final k directly.
@@ -311,11 +399,7 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
   }
   const auto scan_shard = [&](const Shard& shard, TopKAccumulator& top) {
     if (use_quant) {
-      if (use_ivf) {
-        shard.scan_ivf_quant(q, qq, nprobe, exclude, top);
-      } else {
-        shard.scan_exact_quant(qq, exclude, top);
-      }
+      shard.scan_quant(q, qq, use_ivf ? nprobe : 0, exclude, top);
     } else if (use_ivf) {
       shard.scan_ivf(q, nprobe, exclude, top);
     } else {
@@ -361,6 +445,13 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
   // Float re-rank of the quantized candidates, offered in ascending
   // node order so score ties resolve exactly like the float scan's.
   auto cands = merged.take();
+  // The int8 order's own top k, for the re-rank correction count.
+  std::vector<NodeId> int8_head;
+  if (obs::enabled()) {
+    for (std::size_t i = 0; i < std::min(k, cands.size()); ++i) {
+      int8_head.push_back(cands[i].node);
+    }
+  }
   std::sort(cands.begin(), cands.end(),
             [](const Neighbor& a, const Neighbor& b) {
               return a.node < b.node;
@@ -373,14 +464,28 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
                              c.node - shards_[s]->row_begin()),
                          q));
   }
-  return top.take();
+  std::vector<Neighbor> hits = top.take();
+  if (obs::enabled()) {
+    metrics.quant_candidates->add(cands.size());
+    // Re-rank hit rate: final entries the int8 order alone would have
+    // missed (not already in its first k).
+    std::uint64_t corrections = 0;
+    for (const Neighbor& h : hits) {
+      if (std::find(int8_head.begin(), int8_head.end(), h.node) ==
+          int8_head.end()) {
+        ++corrections;
+      }
+    }
+    metrics.quant_corrections->add(corrections);
+  }
+  return hits;
 }
 
 std::vector<Neighbor> ShardedQueryEngine::topk(
     NodeId u, std::size_t k, Similarity sim,
     std::size_t nprobe_override) const {
-  // Route through the raw row, exactly like QueryEngine's node
-  // overload, so the two produce identical results on the exact path.
+  // Route through the raw row: the span overload re-normalizes for
+  // cosine, which keeps one scan path for node and vector queries.
   return topk(embedding_row(u), k, sim, u, nprobe_override);
 }
 

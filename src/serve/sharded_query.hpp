@@ -1,21 +1,23 @@
 #pragma once
-// Fan-out/merge query engine over a ShardedEmbeddingStore: one
+// The query engine: fan-out/merge over a ShardedEmbeddingStore, with one
 // per-shard sub-engine (normalized rows + optional per-shard IVF index)
-// and a shared top-k accumulator merging across shards.
+// and a shared top-k accumulator merging across shards. A one-shard
+// store (the default) is the single-matrix case.
 //
-// Exact path: shards are scanned in node order with the same kernels,
-// normalization, and accumulator as QueryEngine, so results —
-// neighbors, scores, tie-breaks — are bit-identical to the unsharded
-// exact scan over the same embedding values (tests assert this).
+// Exact path: shards are scanned in ascending node order with one
+// kernel, normalization, and accumulator, so results — neighbors,
+// scores, tie-breaks — are identical for any shard count and to a
+// brute-force scan over the same embedding values (tests assert this).
 //
 // IVF path: each shard carries its own coarse quantizer sized to the
-// shard (nlist = 0 -> ~sqrt(shard rows)); a query probes `nprobe`
-// cells *per shard* and all probed candidates merge through one
-// accumulator.
+// shard (nlist = 0 -> ~sqrt(shard rows)) and keeps its normalized rows
+// re-packed in list order, so a probed cell is one contiguous stripe; a
+// query probes `nprobe` cells *per shard* and all probed candidates
+// merge through one accumulator. IVF search is cosine-ordered; dot
+// queries always take the exact path.
 //
-// Incremental maintenance (ROADMAP "Incremental index maintenance"):
-// constructing an engine with `previous` set reuses the prior engine's
-// per-shard state instead of re-clustering —
+// Incremental maintenance: constructing an engine with `previous` set
+// reuses the prior engine's per-shard state instead of re-clustering —
 //  * a shard whose snapshot version is unchanged is shared outright
 //    (zero work, zero memory);
 //  * a changed shard whose base lineage still covers the previous
@@ -34,9 +36,9 @@
 //    rebuilt from scratch.
 // refresh_stats() reports which path each shard took.
 //
-// Like QueryEngine, an engine is immutable after construction: every
-// query method is const and safe from any number of threads, and the
-// engine keeps the shard snapshots it was built from alive.
+// An engine is immutable after construction: every query method is
+// const and safe from any number of threads, and the engine keeps the
+// shard snapshots it was built from alive.
 
 #include <cstdint>
 #include <memory>
@@ -66,7 +68,7 @@ struct ShardedIndexConfig {
   /// path stays bit-identical either way: each shard accumulates its
   /// own top-k and the per-shard winners merge in shard order, which
   /// preserves the ascending-node arrival order score ties depend on
-  /// (tests gate this against the N=1 engine).
+  /// (tests gate this against a brute-force scan).
   std::size_t scan_threads = 0;
 };
 
@@ -79,7 +81,7 @@ struct ShardedRefreshStats {
   std::size_t rows_reassigned = 0;   ///< moved past threshold, new cell
 };
 
-class ShardedQueryEngine final : public SearchEngine {
+class ShardedQueryEngine final {
  public:
   /// Builds per-shard engines for the store's current shard heads.
   /// `previous` (optional) must be an engine over the same store built
@@ -88,11 +90,10 @@ class ShardedQueryEngine final : public SearchEngine {
   explicit ShardedQueryEngine(const ShardedEmbeddingStore& store,
                               ShardedIndexConfig cfg = {},
                               const ShardedQueryEngine* previous = nullptr);
-  ~ShardedQueryEngine() override;
+  ~ShardedQueryEngine();
 
-  [[nodiscard]] std::uint64_t version() const noexcept override {
-    return version_;
-  }
+  /// Store version this engine was built for (response freshness tag).
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return layout_.num_rows;
   }
@@ -110,9 +111,12 @@ class ShardedQueryEngine final : public SearchEngine {
   /// snapshots this engine holds alive.
   [[nodiscard]] std::span<const float> embedding_row(NodeId u) const;
 
+  /// Top-k most similar nodes to node u (u itself excluded), best
+  /// first; ties broken by ascending node id. k is clamped to the
+  /// number of nodes before anything is allocated.
   [[nodiscard]] std::vector<Neighbor> topk(
       NodeId u, std::size_t k, Similarity sim = Similarity::kCosine,
-      std::size_t nprobe_override = 0) const override;
+      std::size_t nprobe_override = 0) const;
 
   /// Top-k against an arbitrary query vector; `exclude` removes one
   /// node id (out-of-range keeps all).
@@ -121,9 +125,10 @@ class ShardedQueryEngine final : public SearchEngine {
       Similarity sim = Similarity::kCosine, NodeId exclude = ~NodeId{0},
       std::size_t nprobe_override = 0) const;
 
+  /// Link-prediction score of candidate edge (u, v), bit-identical to
+  /// eval/link_prediction.hpp's score_edge on the same embedding.
   [[nodiscard]] double score(NodeId u, NodeId v,
-                             EdgeScore kind = EdgeScore::kCosine)
-      const override;
+                             EdgeScore kind = EdgeScore::kCosine) const;
 
  private:
   class Shard;

@@ -1,10 +1,12 @@
 #pragma once
-// Sharded, copy-on-write embedding store: the scaling successor to the
-// single-snapshot EmbeddingStore (serve/embedding_store.hpp), which
-// republishes the full n x dims matrix on every snapshot. Sequential
-// OS-ELM training touches only O(walk + negatives) rows per insertion,
-// so past a few million nodes the full copy dominates publish cost
-// (ROADMAP: "Snapshot delta publishing", "Sharded EmbeddingStore").
+// Sharded, copy-on-write embedding store: the one store the serving
+// path publishes into. Sequential OS-ELM training touches only
+// O(walk + negatives) rows per insertion, so republishing the full
+// n x dims matrix on every snapshot would dominate publish cost at
+// scale; this store publishes row deltas instead. `num_shards` is a
+// config value: the default single shard serves small graphs, and more
+// shards bound the per-publish swap and index-refresh work on large
+// ones.
 //
 // Design:
 //  * The node range [0, n) is split into `num_shards` contiguous
@@ -30,7 +32,7 @@
 //    trigger re-packed shards on nearly every publish at high cadence
 //    (~90 compactions per 100 publishes at bench scale).
 //
-// Consistency contract (the sharded analogue of EmbeddingStore's):
+// Consistency contract:
 //  * Readers acquire a shard head with one atomic load and never block
 //    publishers. A ShardSnapshot is internally consistent: every row
 //    reflects a state the shard actually passed through at
@@ -44,9 +46,7 @@
 //
 // Implements SnapshotSink: on_delta(touched) republishes O(touched)
 // rows via EmbeddingModel::extract_rows; on_snapshot (and the first
-// publication into an empty store) publishes the full matrix. The
-// unsharded EmbeddingStore remains the N = 1 special case for callers
-// that want a single contiguous snapshot.
+// publication into an empty store) publishes the full matrix.
 
 #include <algorithm>
 #include <atomic>
@@ -285,7 +285,7 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// copy may mix shard versions (each shard internally consistent).
   [[nodiscard]] MatrixF materialize() const;
   /// Write materialize() in the binary checkpoint format
-  /// (embedding/checkpoint.hpp) — loadable by EmbeddingStore, the CPU
+  /// (embedding/checkpoint.hpp) — loadable by any store shape, the CPU
   /// models, and the FPGA accelerator alike. Throws if empty.
   void save(std::ostream& os) const;
   void save(const std::string& path) const;

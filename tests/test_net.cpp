@@ -21,7 +21,7 @@
 #include "net/token_bucket.hpp"
 #include "net/wire.hpp"
 #include "serve/embedding_server.hpp"
-#include "serve/embedding_store.hpp"
+#include "serve/sharded_store.hpp"
 #include "util/rng.hpp"
 
 namespace seqge::net {
@@ -37,9 +37,9 @@ MatrixF random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-std::shared_ptr<serve::EmbeddingStore> published_store(
+std::shared_ptr<serve::ShardedEmbeddingStore> published_store(
     std::size_t nodes = 64, std::size_t dims = 8) {
-  auto store = std::make_shared<serve::EmbeddingStore>();
+  auto store = std::make_shared<serve::ShardedEmbeddingStore>();
   store->publish(random_matrix(nodes, dims, 99), 123, "test");
   return store;
 }
@@ -308,12 +308,12 @@ TEST(TokenBucket, ZeroRateDisables) {
 struct Loopback {
   explicit Loopback(serve::ServerConfig engine_cfg = {},
                     NetServerConfig net_cfg = {},
-                    std::shared_ptr<serve::EmbeddingStore> st = nullptr)
+                    std::shared_ptr<serve::ShardedEmbeddingStore> st = nullptr)
       : store(st != nullptr ? std::move(st) : published_store()),
         engine(store, engine_cfg), server(engine, net_cfg) {
     server.start();
   }
-  std::shared_ptr<serve::EmbeddingStore> store;
+  std::shared_ptr<serve::ShardedEmbeddingStore> store;
   serve::EmbeddingServer engine;
   Server server;
 };
@@ -340,6 +340,24 @@ TEST(NetServer, LoopbackAnswersBitIdenticalToInProcess) {
     const Response wire = client.score(3, 11, kind);
     ASSERT_EQ(wire.status, Status::kOk);
     EXPECT_EQ(wire.score, local.score);
+  }
+}
+
+// A hostile wire k (0xFFFFFFFF) must not turn into a huge accumulator
+// allocation: the engine clamps it, and the answer is every other node,
+// exactly as the in-process k = n - 1 call gives it.
+TEST(NetServer, HostileTopKIsClampedToNodeCount) {
+  constexpr std::size_t kNodes = 64;
+  Loopback lb;
+  Client client("127.0.0.1", lb.server.port());
+  const serve::TopKResult local = lb.engine.topk(5, kNodes - 1).get();
+  ASSERT_EQ(local.neighbors.size(), kNodes - 1);
+  const Response wire = client.topk(5, 0xFFFFFFFFu);
+  ASSERT_EQ(wire.status, Status::kOk);
+  ASSERT_EQ(wire.neighbors.size(), local.neighbors.size());
+  for (std::size_t i = 0; i < local.neighbors.size(); ++i) {
+    EXPECT_EQ(wire.neighbors[i].node, local.neighbors[i].node);
+    EXPECT_EQ(wire.neighbors[i].score, local.neighbors[i].score);
   }
 }
 
@@ -398,7 +416,7 @@ TEST(NetServer, PingAndStats) {
 }
 
 TEST(NetServer, NotReadyBeforeFirstPublish) {
-  auto empty = std::make_shared<serve::EmbeddingStore>();
+  auto empty = std::make_shared<serve::ShardedEmbeddingStore>();
   Loopback lb({}, {}, empty);
   Client client("127.0.0.1", lb.server.port());
   EXPECT_EQ(client.topk(0, 3).status, Status::kNotReady);

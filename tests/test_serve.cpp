@@ -1,7 +1,9 @@
-// Serving subsystem tests: RCU snapshot store under concurrent
-// publish/read load, SnapshotSink integration with the trainers, exact
-// and IVF k-NN correctness, checkpoint persistence, and the
-// multi-threaded EmbeddingServer (results, freshness, graceful drain).
+// Serving subsystem tests on the default one-shard store: publish and
+// read semantics, SnapshotSink integration with the trainers, exact and
+// IVF k-NN correctness, and the multi-threaded EmbeddingServer
+// (results, freshness, graceful drain). Multi-shard behaviour, the
+// concurrent torn-row hammer and checkpoint round trips live in
+// test_sharded_store.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +18,8 @@
 #include "embedding/trainer.hpp"
 #include "graph/generators.hpp"
 #include "linalg/kernels.hpp"
+#include "brute_force_topk.hpp"
 #include "serve/embedding_server.hpp"
-#include "serve/embedding_store.hpp"
-#include "serve/query_engine.hpp"
 #include "util/rng.hpp"
 
 namespace seqge::serve {
@@ -30,44 +31,43 @@ MatrixF constant_matrix(std::size_t rows, std::size_t cols, float value) {
   return m;
 }
 
-// --- EmbeddingStore -------------------------------------------------------
+// --- one-shard store -----------------------------------------------------
 
-TEST(EmbeddingStore, VersionsAreMonotonicAndContentsPreserved) {
-  EmbeddingStore store;
+TEST(OneShardStore, VersionsAreMonotonicAndLatestPublishWins) {
+  ShardedEmbeddingStore store;
+  EXPECT_EQ(store.num_shards(), 1u);
   EXPECT_EQ(store.version(), 0u);
-  EXPECT_EQ(store.current(), nullptr);
+  EXPECT_EQ(store.shard(0), nullptr);
 
   EXPECT_EQ(store.publish(constant_matrix(4, 2, 1.0f), 10, "m"), 1u);
   EXPECT_EQ(store.publish(constant_matrix(4, 2, 2.0f), 20, "m"), 2u);
 
-  const auto snap = store.current();
+  const auto snap = store.shard(0);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->version, 2u);
-  EXPECT_EQ(snap->walks_trained, 20u);
-  EXPECT_EQ(snap->producer, "m");
-  EXPECT_EQ(snap->num_nodes(), 4u);
-  EXPECT_EQ(snap->dims(), 2u);
-  for (float v : snap->embedding.flat()) EXPECT_EQ(v, 2.0f);
+  EXPECT_EQ(store.walks_trained(), 20u);
+  EXPECT_EQ(store.producer(), "m");
+  EXPECT_EQ(store.num_rows(), 4u);
+  EXPECT_EQ(snap->dims, 2u);
+  const MatrixF latest = store.materialize();
+  for (float v : latest.flat()) EXPECT_EQ(v, 2.0f);
 }
 
-TEST(EmbeddingStore, EmptyPublishRejected) {
-  EmbeddingStore store;
-  EXPECT_THROW(store.publish(MatrixF{}), std::invalid_argument);
-}
-
-TEST(EmbeddingStore, ReadersKeepOldSnapshotAlive) {
-  EmbeddingStore store;
+TEST(OneShardStore, ReadersKeepOldSnapshotAlive) {
+  ShardedEmbeddingStore store;
   store.publish(constant_matrix(3, 3, 1.0f));
-  const auto held = store.current();
+  const auto held = store.shard(0);
   store.publish(constant_matrix(3, 3, 2.0f));
   // The reader's reference still sees version 1, untouched.
   EXPECT_EQ(held->version, 1u);
-  for (float v : held->embedding.flat()) EXPECT_EQ(v, 1.0f);
-  EXPECT_EQ(store.current()->version, 2u);
+  for (std::size_t r = 0; r < held->num_rows(); ++r) {
+    for (float v : held->row(r)) EXPECT_EQ(v, 1.0f);
+  }
+  EXPECT_EQ(store.shard(0)->version, 2u);
 }
 
-TEST(EmbeddingStore, WaitForVersionTimesOutAndSucceeds) {
-  EmbeddingStore store;
+TEST(OneShardStore, WaitForVersionTimesOutAndSucceeds) {
+  ShardedEmbeddingStore store;
   EXPECT_FALSE(store.wait_for_version(1, std::chrono::milliseconds(10)));
   std::thread publisher([&] {
     store.publish(constant_matrix(2, 2, 1.0f));
@@ -76,60 +76,10 @@ TEST(EmbeddingStore, WaitForVersionTimesOutAndSucceeds) {
   publisher.join();
 }
 
-// One publisher hammers the store while N readers continuously acquire
-// snapshots. Every element of a published matrix equals its version, so
-// a torn row — any mix of two versions inside one snapshot — is
-// detectable, and per-reader version sequences must be monotonic.
-TEST(EmbeddingStore, ConcurrentReadersSeeConsistentSnapshots) {
-  constexpr std::size_t kRows = 64;
-  constexpr std::size_t kCols = 16;
-  constexpr std::uint64_t kPublishes = 300;
-  constexpr std::size_t kReaders = 4;
-
-  EmbeddingStore store;
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> torn{0};
-  std::atomic<std::uint64_t> non_monotonic{0};
-  std::atomic<std::uint64_t> reads{0};
-
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (std::size_t t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&] {
-      std::uint64_t last_seen = 0;
-      // A minimum iteration count guarantees real reads even if the
-      // publisher finishes before this thread is first scheduled.
-      for (std::size_t i = 0;
-           i < 500 || !done.load(std::memory_order_acquire); ++i) {
-        const auto snap = store.current();
-        if (snap == nullptr) continue;
-        if (snap->version < last_seen) {
-          non_monotonic.fetch_add(1);
-        }
-        last_seen = snap->version;
-        const auto expected = static_cast<float>(snap->version);
-        for (float v : snap->embedding.flat()) {
-          if (v != expected) {
-            torn.fetch_add(1);
-            break;
-          }
-        }
-        reads.fetch_add(1);
-      }
-    });
-  }
-
-  for (std::uint64_t p = 1; p <= kPublishes; ++p) {
-    store.publish(
-        constant_matrix(kRows, kCols, static_cast<float>(p)), p, "pub");
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : readers) th.join();
-
-  EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(non_monotonic.load(), 0u);
-  EXPECT_EQ(store.version(), kPublishes);
-  EXPECT_GT(reads.load(), 0u);
+TEST(OneShardStore, SaveWithoutSnapshotThrows) {
+  ShardedEmbeddingStore store;
+  std::stringstream ss;
+  EXPECT_THROW(store.save(ss), std::runtime_error);
 }
 
 // --- SnapshotSink integration with the trainers ---------------------------
@@ -140,7 +90,7 @@ TEST(SnapshotSink, TrainAllPublishesAtCadenceAndFinal) {
   cfg.dims = 8;
   cfg.seed = 7;
 
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   Rng rng(cfg.seed);
   auto model = make_backend("oselm", data.graph.num_nodes(), cfg, rng);
 
@@ -154,13 +104,11 @@ TEST(SnapshotSink, TrainAllPublishesAtCadenceAndFinal) {
   EXPECT_EQ(stats.snapshots_published, store->version());
   EXPECT_GE(store->version(), 1u + stats.num_batches / 2);
 
-  const auto snap = store->current();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->producer, model->name());
-  EXPECT_EQ(snap->walks_trained, stats.num_walks);
+  EXPECT_EQ(store->producer(), model->name());
+  EXPECT_EQ(store->walks_trained(), stats.num_walks);
   // Final snapshot is exactly the trained embedding.
   EXPECT_DOUBLE_EQ(
-      max_abs_diff(snap->embedding, model->extract_embedding()), 0.0);
+      max_abs_diff(store->materialize(), model->extract_embedding()), 0.0);
 }
 
 TEST(SnapshotSink, TrainSequentialPublishesDuringInsertionStream) {
@@ -169,7 +117,7 @@ TEST(SnapshotSink, TrainSequentialPublishesDuringInsertionStream) {
   cfg.dims = 8;
   cfg.seed = 11;
 
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   Rng rng(cfg.seed);
   auto model = make_backend("oselm", data.graph.num_nodes(), cfg, rng);
 
@@ -185,52 +133,42 @@ TEST(SnapshotSink, TrainSequentialPublishesDuringInsertionStream) {
   EXPECT_EQ(store->version(), result.stats.snapshots_published);
   EXPECT_GE(store->version(), 4u);
   EXPECT_DOUBLE_EQ(
-      max_abs_diff(store->current()->embedding, model->extract_embedding()),
-      0.0);
+      max_abs_diff(store->materialize(), model->extract_embedding()), 0.0);
 }
 
-// --- checkpoint persistence -----------------------------------------------
+// --- query engine on one shard --------------------------------------------
 
-TEST(EmbeddingStore, CheckpointRoundTripPreservesEmbedding) {
-  EmbeddingStore store;
-  MatrixF emb(5, 3);
-  Rng rng(3);
-  emb.fill_uniform(rng, -1.0, 1.0);
-  store.publish(MatrixF(emb));
-
-  std::stringstream ss;
-  store.save(ss);
-
-  EmbeddingStore restored;
-  EXPECT_EQ(restored.load(ss), 1u);
-  EXPECT_DOUBLE_EQ(max_abs_diff(restored.current()->embedding, emb), 0.0);
-}
-
-TEST(EmbeddingStore, SaveWithoutSnapshotThrows) {
-  EmbeddingStore store;
-  std::stringstream ss;
-  EXPECT_THROW(store.save(ss), std::runtime_error);
-}
-
-// --- QueryEngine ----------------------------------------------------------
-
-std::shared_ptr<const Snapshot> toy_snapshot() {
+MatrixF toy_matrix() {
   // 6 nodes in 2-D with obvious cosine structure: 0,1,2 point right-ish,
   // 3,4 point up-ish, 5 points left.
-  auto snap = std::make_shared<Snapshot>();
-  snap->version = 1;
-  snap->embedding = MatrixF(6, 2);
+  MatrixF m(6, 2);
   const float rows[6][2] = {{1.0f, 0.0f}, {2.0f, 0.1f},  {1.0f, 0.2f},
                             {0.0f, 1.0f}, {0.1f, 2.0f},  {-1.0f, 0.0f}};
   for (std::size_t r = 0; r < 6; ++r) {
-    snap->embedding(r, 0) = rows[r][0];
-    snap->embedding(r, 1) = rows[r][1];
+    m(r, 0) = rows[r][0];
+    m(r, 1) = rows[r][1];
   }
-  return snap;
+  return m;
 }
 
-TEST(QueryEngine, ExactCosineTopKOrdersAndExcludesSelf) {
-  QueryEngine engine(toy_snapshot());
+/// One-shard store holding `m`.
+std::shared_ptr<ShardedEmbeddingStore> store_of(const MatrixF& m) {
+  auto store = std::make_shared<ShardedEmbeddingStore>();
+  store->publish(MatrixF(m));
+  return store;
+}
+
+void expect_same(const std::vector<Neighbor>& got,
+                 const std::vector<Neighbor>& expect) {
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(got[i].node, expect[i].node);
+    EXPECT_EQ(got[i].score, expect[i].score);
+  }
+}
+
+TEST(OneShardEngine, ExactCosineTopKOrdersAndExcludesSelf) {
+  const ShardedQueryEngine engine(*store_of(toy_matrix()));
   const auto nn = engine.topk(NodeId{0}, 3);
   ASSERT_EQ(nn.size(), 3u);
   // Node 1 (cos ~0.9988) beats node 2 (cos ~0.9806); never node 0.
@@ -239,10 +177,11 @@ TEST(QueryEngine, ExactCosineTopKOrdersAndExcludesSelf) {
   for (const auto& n : nn) EXPECT_NE(n.node, 0u);
   EXPECT_GE(nn[0].score, nn[1].score);
   EXPECT_GE(nn[1].score, nn[2].score);
+  expect_same(nn, brute_force_topk(toy_matrix(), 0, 3));
 }
 
-TEST(QueryEngine, DotRankingDiffersFromCosine) {
-  QueryEngine engine(toy_snapshot());
+TEST(OneShardEngine, DotRankingDiffersFromCosine) {
+  const ShardedQueryEngine engine(*store_of(toy_matrix()));
   // Under dot product, node 1's magnitude (2.0) makes it the best match
   // for node 2; under cosine the directions decide.
   const auto dot_nn = engine.topk(NodeId{2}, 1, Similarity::kDot);
@@ -251,127 +190,101 @@ TEST(QueryEngine, DotRankingDiffersFromCosine) {
   EXPECT_FLOAT_EQ(dot_nn[0].score, 2.0f * 1.0f + 0.1f * 0.2f);
 }
 
-TEST(QueryEngine, KClampedToCandidates) {
-  QueryEngine engine(toy_snapshot());
+TEST(OneShardEngine, KClampedToCandidates) {
+  const ShardedQueryEngine engine(*store_of(toy_matrix()));
   EXPECT_EQ(engine.topk(NodeId{0}, 100).size(), 5u);  // n-1 candidates
+  EXPECT_EQ(engine.topk(NodeId{0}, ~std::size_t{0}).size(), 5u);
   EXPECT_TRUE(engine.topk(NodeId{0}, 0).empty());
 }
 
-TEST(QueryEngine, QueryVectorOverloadMatchesNodeOverload) {
-  const auto snap = toy_snapshot();
-  QueryEngine engine(snap);
+TEST(OneShardEngine, QueryVectorOverloadMatchesNodeOverload) {
+  const MatrixF m = toy_matrix();
+  const ShardedQueryEngine engine(*store_of(m));
   const auto by_node = engine.topk(NodeId{3}, 4);
   const auto by_vec =
-      engine.topk(snap->embedding.row(3), 4, Similarity::kCosine, NodeId{3});
-  ASSERT_EQ(by_node.size(), by_vec.size());
-  for (std::size_t i = 0; i < by_node.size(); ++i) {
-    EXPECT_EQ(by_node[i].node, by_vec[i].node);
-    EXPECT_FLOAT_EQ(by_node[i].score, by_vec[i].score);
-  }
+      engine.topk(m.row(3), 4, Similarity::kCosine, NodeId{3});
+  expect_same(by_vec, by_node);
 }
 
-TEST(QueryEngine, BadInputsThrow) {
-  QueryEngine engine(toy_snapshot());
+TEST(OneShardEngine, BadInputsThrow) {
+  const ShardedQueryEngine engine(*store_of(toy_matrix()));
   EXPECT_THROW(engine.topk(NodeId{99}, 2), std::invalid_argument);
   const std::vector<float> wrong_dims(3, 0.0f);
   EXPECT_THROW(engine.topk(std::span<const float>(wrong_dims), 2),
                std::invalid_argument);
-  EXPECT_THROW(QueryEngine(nullptr), std::invalid_argument);
+  const ShardedEmbeddingStore empty;
+  EXPECT_THROW(ShardedQueryEngine{empty}, std::invalid_argument);
 }
 
-TEST(QueryEngine, ScoreMatchesEvalScorer) {
-  const auto snap = toy_snapshot();
-  QueryEngine engine(snap);
+TEST(OneShardEngine, ScoreMatchesEvalScorer) {
+  const MatrixF m = toy_matrix();
+  const ShardedQueryEngine engine(*store_of(m));
   for (const EdgeScore kind :
        {EdgeScore::kDot, EdgeScore::kCosine, EdgeScore::kHadamardL2}) {
-    EXPECT_DOUBLE_EQ(engine.score(0, 3, kind),
-                     score_edge(snap->embedding, 0, 3, kind));
+    EXPECT_DOUBLE_EQ(engine.score(0, 3, kind), score_edge(m, 0, 3, kind));
   }
 }
 
 /// Clustered synthetic embedding: `clusters` well-separated unit-ish
 /// directions with small per-point jitter — the regime IVF is built for.
-std::shared_ptr<const Snapshot> clustered_snapshot(std::size_t n,
-                                                   std::size_t dims,
-                                                   std::size_t clusters,
-                                                   std::uint64_t seed) {
+MatrixF clustered_matrix(std::size_t n, std::size_t dims,
+                         std::size_t clusters, std::uint64_t seed) {
   Rng rng(seed);
   MatrixF centers(clusters, dims);
   centers.fill_gaussian(rng, 1.0);
-  auto snap = std::make_shared<Snapshot>();
-  snap->version = 1;
-  snap->embedding = MatrixF(n, dims);
+  MatrixF m(n, dims);
   for (std::size_t r = 0; r < n; ++r) {
     const auto c = centers.row(r % clusters);
-    auto row = snap->embedding.row(r);
+    auto row = m.row(r);
     for (std::size_t d = 0; d < dims; ++d) {
       row[d] = c[d] + static_cast<float>(rng.gaussian() * 0.15);
     }
   }
-  return snap;
+  return m;
 }
 
-TEST(QueryEngine, IvfFullProbeMatchesExact) {
-  const auto snap = clustered_snapshot(500, 16, 10, 5);
-  QueryEngine exact(snap);
-  IndexConfig ivf_cfg;
-  ivf_cfg.kind = IndexConfig::Kind::kIvf;
-  ivf_cfg.nlist = 16;
-  QueryEngine ivf(snap, ivf_cfg);
+TEST(OneShardEngine, IvfFullProbeMatchesExact) {
+  const MatrixF m = clustered_matrix(500, 16, 10, 5);
+  const auto store = store_of(m);
+  ShardedIndexConfig ivf_cfg;
+  ivf_cfg.index.kind = IndexConfig::Kind::kIvf;
+  ivf_cfg.index.nlist = 16;
+  const ShardedQueryEngine ivf(*store, ivf_cfg);
   for (NodeId u : {NodeId{0}, NodeId{123}, NodeId{499}}) {
-    const auto e = exact.topk(u, 10);
     // nprobe == nlist degenerates to scanning every cell == exact.
-    const auto a = ivf.topk(u, 10, Similarity::kCosine, /*nprobe=*/16);
-    EXPECT_DOUBLE_EQ(recall_at_k(e, a), 1.0);
+    expect_same(ivf.topk(u, 10, Similarity::kCosine, /*nprobe=*/16),
+                brute_force_topk(m, u, 10));
   }
 }
 
-TEST(QueryEngine, IvfRecallHighOnClusteredData) {
-  const auto snap = clustered_snapshot(2000, 32, 20, 9);
-  QueryEngine exact(snap);
-  IndexConfig ivf_cfg;
-  ivf_cfg.kind = IndexConfig::Kind::kIvf;
-  ivf_cfg.nlist = 32;
-  ivf_cfg.nprobe = 8;
-  QueryEngine ivf(snap, ivf_cfg);
-  EXPECT_EQ(ivf.nlist(), 32u);
+TEST(OneShardEngine, IvfRecallHighOnClusteredData) {
+  const MatrixF m = clustered_matrix(2000, 32, 20, 9);
+  const auto store = store_of(m);
+  ShardedIndexConfig ivf_cfg;
+  ivf_cfg.index.kind = IndexConfig::Kind::kIvf;
+  ivf_cfg.index.nlist = 32;
+  ivf_cfg.index.nprobe = 8;
+  const ShardedQueryEngine ivf(*store, ivf_cfg);
 
   double recall_sum = 0.0;
   constexpr std::size_t kQueries = 50;
   for (std::size_t q = 0; q < kQueries; ++q) {
     const auto u = static_cast<NodeId>(q * 37 % 2000);
-    recall_sum += recall_at_k(exact.topk(u, 10), ivf.topk(u, 10));
+    recall_sum += recall_at_k(brute_force_topk(m, u, 10), ivf.topk(u, 10));
   }
   EXPECT_GE(recall_sum / kQueries, 0.9);
-}
-
-TEST(QueryEngine, TopKBatchMatchesSingleQueries) {
-  const auto snap = clustered_snapshot(300, 8, 6, 2);
-  QueryEngine engine(snap);
-  const std::vector<NodeId> nodes = {0, 5, 17, 120, 299};
-  const auto batch = engine.topk_batch(nodes, 5);
-  ASSERT_EQ(batch.size(), nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const auto single = engine.topk(nodes[i], 5);
-    ASSERT_EQ(batch[i].size(), single.size());
-    for (std::size_t j = 0; j < single.size(); ++j) {
-      EXPECT_EQ(batch[i][j].node, single[j].node);
-    }
-  }
 }
 
 // --- EmbeddingServer ------------------------------------------------------
 
 TEST(EmbeddingServer, AnswersMatchDirectEngineAndDrainCounts) {
-  auto store = std::make_shared<EmbeddingStore>();
-  const auto snap = clustered_snapshot(400, 16, 8, 13);
-  store->publish(MatrixF(snap->embedding));
+  const auto store = store_of(clustered_matrix(400, 16, 8, 13));
 
   ServerConfig cfg;
   cfg.threads = 4;
   EmbeddingServer server(store, cfg);
 
-  QueryEngine reference(store->current());
+  const ShardedQueryEngine reference(*store);
   constexpr std::size_t kRequests = 200;
   std::vector<std::future<TopKResult>> topk_futures;
   std::vector<std::future<ScoreResult>> score_futures;
@@ -406,7 +319,7 @@ TEST(EmbeddingServer, AnswersMatchDirectEngineAndDrainCounts) {
 }
 
 TEST(EmbeddingServer, ObservesNewSnapshotsAcrossPublishes) {
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   store->publish(constant_matrix(50, 4, 1.0f));
   ServerConfig cfg;
   cfg.threads = 2;
@@ -422,14 +335,14 @@ TEST(EmbeddingServer, ObservesNewSnapshotsAcrossPublishes) {
 }
 
 TEST(EmbeddingServer, RequestBeforeFirstPublishFails) {
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   EmbeddingServer server(store);
   auto fut = server.topk(0, 3);
   EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
 TEST(EmbeddingServer, SubmitAfterDrainRejected) {
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   store->publish(constant_matrix(10, 4, 1.0f));
   EmbeddingServer server(store);
   server.drain();
@@ -442,7 +355,7 @@ TEST(EmbeddingServer, SubmitAfterDrainRejected) {
 // elements equal to the reported version) and versions seen by one
 // client never go backwards.
 TEST(EmbeddingServer, ConcurrentPublishAndQueryStaysConsistent) {
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   store->publish(constant_matrix(64, 8, 1.0f));
   ServerConfig cfg;
   cfg.threads = 3;
@@ -472,9 +385,7 @@ TEST(EmbeddingServer, ConcurrentPublishAndQueryStaysConsistent) {
 }
 
 TEST(EmbeddingServer, BatchRequestsMatchSingles) {
-  auto store = std::make_shared<EmbeddingStore>();
-  const auto snap = clustered_snapshot(200, 8, 4, 29);
-  store->publish(MatrixF(snap->embedding));
+  const auto store = store_of(clustered_matrix(200, 8, 4, 29));
   EmbeddingServer server(store);
 
   std::vector<NodeId> nodes{0, 17, 42, 199, 42};
@@ -506,7 +417,7 @@ TEST(EmbeddingServer, BatchRequestsMatchSingles) {
 }
 
 TEST(EmbeddingServer, TrySubmissionShedsWhenQueueFull) {
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   store->publish(constant_matrix(600, 32, 1.0f));
   ServerConfig cfg;
   cfg.threads = 1;
@@ -536,7 +447,7 @@ TEST(EmbeddingServer, TrySubmissionShedsWhenQueueFull) {
 }
 
 TEST(EmbeddingServer, DrainForReportsLeftoverThenCompletes) {
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   store->publish(constant_matrix(2000, 64, 0.5f));
   ServerConfig cfg;
   cfg.threads = 1;
@@ -561,7 +472,7 @@ TEST(EmbeddingServer, DrainForReportsLeftoverThenCompletes) {
 }
 
 TEST(EmbeddingServer, DrainForCleanWhenIdle) {
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   store->publish(constant_matrix(10, 4, 1.0f));
   EmbeddingServer server(store);
   (void)server.topk(0, 3).get();

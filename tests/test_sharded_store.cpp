@@ -1,12 +1,14 @@
 // Sharded serving tests: copy-on-write delta publishing (row-copy
 // accounting, bit-identity with the full-snapshot path, compaction),
-// the sharded torn-row/monotonicity hammer mirroring the single-store
-// one, fan-out/merge query identity with the N = 1 engine, incremental
-// IVF maintenance, server routing over a sharded store, and checkpoint
-// interop with the unsharded EmbeddingStore.
+// the torn-row/monotonicity hammer, fan-out/merge query identity with a
+// brute-force scan for every shard count, incremental IVF maintenance
+// (packed rows and int8 codes patched in place or re-packed), server
+// routing over a sharded store, and checkpoint round trips across
+// shard counts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -17,9 +19,9 @@
 #include "embedding/trainer.hpp"
 #include "graph/generators.hpp"
 #include "linalg/kernels.hpp"
+#include "obs/metrics.hpp"
+#include "brute_force_topk.hpp"
 #include "serve/embedding_server.hpp"
-#include "serve/embedding_store.hpp"
-#include "serve/query_engine.hpp"
 #include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
 #include "util/rng.hpp"
@@ -281,7 +283,7 @@ TEST(ShardedDeltaPublishing, SequentialPublishCopiesAtMostTouchedRows) {
 
 // --- concurrent hammer ----------------------------------------------------
 
-// Sharded analogue of EmbeddingStore.ConcurrentReadersSeeConsistentSnapshots:
+// Store-level torn-row hammer:
 // one publisher alternates full publishes with random-subset delta
 // publishes; every published row is uniform in the publishing version,
 // so readers can detect (a) torn rows — mixed values inside one row,
@@ -364,12 +366,8 @@ TEST(ShardedEmbeddingStore, ConcurrentReadersSeeConsistentShards) {
 
 // --- ShardedQueryEngine ---------------------------------------------------
 
-TEST(ShardedQueryEngine, ExactFanOutIsBitIdenticalToSingleStore) {
+TEST(ShardedQueryEngine, ExactFanOutIsBitIdenticalToBruteForce) {
   const MatrixF m = random_matrix(500, 16, 21);
-
-  EmbeddingStore single;
-  single.publish(MatrixF(m));
-  const QueryEngine reference(single.current());
 
   for (std::size_t num_shards : {1u, 4u, 7u}) {
     ShardedEmbeddingStore store(num_shards);
@@ -379,7 +377,7 @@ TEST(ShardedQueryEngine, ExactFanOutIsBitIdenticalToSingleStore) {
 
     for (const Similarity sim : {Similarity::kCosine, Similarity::kDot}) {
       for (NodeId u : {NodeId{0}, NodeId{123}, NodeId{250}, NodeId{499}}) {
-        const auto expect = reference.topk(u, 10, sim);
+        const auto expect = brute_force_topk(m, u, 10, sim);
         const auto got = sharded.topk(u, 10, sim);
         ASSERT_EQ(got.size(), expect.size());
         for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -392,7 +390,7 @@ TEST(ShardedQueryEngine, ExactFanOutIsBitIdenticalToSingleStore) {
     for (const EdgeScore kind :
          {EdgeScore::kDot, EdgeScore::kCosine, EdgeScore::kHadamardL2}) {
       EXPECT_DOUBLE_EQ(sharded.score(3, 77, kind),
-                       reference.score(3, 77, kind));
+                       score_edge(m, 3, 77, kind));
     }
   }
 }
@@ -433,10 +431,6 @@ TEST(ShardedQueryEngine, ThreadedFanOutBreaksScoreTiesLikeSequential) {
     std::copy(src.begin(), src.end(), m.row(r).begin());
   }
 
-  EmbeddingStore single;
-  single.publish(MatrixF(m));
-  const QueryEngine reference(single.current());
-
   ShardedEmbeddingStore store(7);
   store.publish(MatrixF(m));
   ShardedIndexConfig cfg;
@@ -444,7 +438,7 @@ TEST(ShardedQueryEngine, ThreadedFanOutBreaksScoreTiesLikeSequential) {
   const ShardedQueryEngine threaded(store, cfg);
 
   for (NodeId u : {NodeId{0}, NodeId{5}, NodeId{77}, NodeId{239}}) {
-    const auto expect = reference.topk(u, 10, Similarity::kCosine);
+    const auto expect = brute_force_topk(m, u, 10);
     const auto got = threaded.topk(u, 10, Similarity::kCosine);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -514,12 +508,9 @@ TEST(ShardedQueryEngine, StaysIdenticalAfterDeltaPublishes) {
     store.publish_delta(touched, std::move(rows));
   }
 
-  EmbeddingStore single;
-  single.publish(MatrixF(m));
-  const QueryEngine reference(single.current());
   const ShardedQueryEngine sharded(store);
   for (NodeId u = 0; u < 300; u += 37) {
-    const auto expect = reference.topk(u, 8);
+    const auto expect = brute_force_topk(m, u, 8);
     const auto got = sharded.topk(u, 8);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -642,6 +633,121 @@ TEST(ShardedQueryEngine, IncrementalRefreshReusesAndReassignsSelectively) {
   }
 }
 
+// An incremental refresh must serve the *new* rows from the IVF packed
+// matrix and its int8 codes, both when rows keep their cells (patched
+// in place) and when they move (whole shard re-packed).
+TEST(ShardedQueryEngine, IncrementalIvfRefreshServesFreshPackedRowsAndCodes) {
+  constexpr std::size_t kRows = 900;
+  const MatrixF m = clustered_matrix(kRows, 16, 9, 71);
+  // Ten rows from clusters other than node 0's become near-copies of
+  // node 0: fresh values make one of them node 0's best match.
+  std::vector<NodeId> touched;
+  MatrixF rows(10, 16);
+  Rng rng(72);
+  for (std::size_t i = 0; i < 10; ++i) {
+    touched.push_back(static_cast<NodeId>(50 + 90 * i));
+    ASSERT_NE(touched.back() % 9, 0u);
+    for (std::size_t d = 0; d < 16; ++d) {
+      rows(i, d) = m(0, d) + static_cast<float>(rng.gaussian() * 0.05);
+    }
+  }
+  MatrixF updated = m;
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    copy<float>(rows.row(i), updated.row(touched[i]));
+  }
+  const auto truth = brute_force_topk(updated, 0, kRows);
+  std::vector<float> truth_score(kRows);
+  for (const Neighbor& n : truth) truth_score[n.node] = n.score;
+
+  for (std::size_t num_shards : {1u, 3u}) {
+    // 10.0: no row re-scans its cell (patch in place); 0.0: every
+    // changed row re-scans and the moved ones force a re-pack.
+    for (const float threshold : {10.0f, 0.0f}) {
+      ShardedEmbeddingStore store(num_shards);
+      store.publish(MatrixF(m));
+      ShardedIndexConfig fcfg;
+      fcfg.index.kind = IndexConfig::Kind::kIvf;
+      fcfg.index.nlist = 8;
+      fcfg.reassign_threshold = threshold;
+      ShardedIndexConfig qcfg = fcfg;
+      qcfg.index.quant = QuantMode::kInt8;
+      qcfg.index.quant_rerank = 1;  // the int8 order alone picks top-1
+      const ShardedQueryEngine fbase(store, fcfg);
+      const ShardedQueryEngine qbase(store, qcfg);
+
+      store.publish_delta(touched, MatrixF(rows));
+      const ShardedQueryEngine fresh_f(store, fcfg, &fbase);
+      const ShardedQueryEngine fresh_q(store, qcfg, &qbase);
+      EXPECT_EQ(fresh_f.refresh_stats().shards_rebuilt, 0u);
+      EXPECT_EQ(fresh_q.refresh_stats().rows_updated, touched.size());
+      if (threshold > 1.0f) {
+        EXPECT_EQ(fresh_f.refresh_stats().rows_reassigned, 0u);
+      } else {
+        EXPECT_GE(fresh_f.refresh_stats().rows_reassigned, 1u);
+      }
+
+      // Float IVF, every row of the probed cells returned: each score
+      // must be the fresh row's exact cosine.
+      const auto probed = fresh_f.topk(NodeId{0}, kRows,
+                                       Similarity::kCosine, /*nprobe=*/7);
+      ASSERT_FALSE(probed.empty());
+      for (const Neighbor& n : probed) {
+        EXPECT_EQ(n.score, truth_score[n.node]) << "node " << n.node;
+      }
+      // Int8 over every cell: top-1 must be a near-copy, scored with
+      // its fresh float row.
+      const auto best = fresh_q.topk(NodeId{0}, 1, Similarity::kCosine,
+                                     /*nprobe=*/8);
+      ASSERT_EQ(best.size(), 1u);
+      EXPECT_NE(std::find(touched.begin(), touched.end(), best[0].node),
+                touched.end());
+      EXPECT_EQ(best[0].score, truth_score[best[0].node]);
+    }
+  }
+}
+
+// The IVF and int8 counters come from the engine's query path: one IVF
+// + int8 query on a one-shard store moves all three. Rows 1..31 all
+// quantize to codes (127, 0), so the int8 order ignores their small
+// y components and ranks them opposite to the float order against the
+// 45-degree query; the re-rank then corrects the int8 order's pick.
+TEST(ShardedQueryEngine, IvfInt8QueryMovesProbeAndQuantCounters) {
+  const obs::EnabledGuard on(true);
+  MatrixF m(64, 2);
+  m(0, 0) = 1.0f;  // the query row
+  m(0, 1) = 1.0f;
+  for (std::size_t r = 1; r < 32; ++r) {
+    m(r, 0) = 1.0f;
+    m(r, 1) = 0.0035f - 0.0001f * static_cast<float>(r);
+  }
+  for (std::size_t r = 32; r < 64; ++r) {
+    m(r, 0) = -1.0f;
+    m(r, 1) = 0.5f + 0.01f * static_cast<float>(r);
+  }
+  ShardedEmbeddingStore store;
+  store.publish(MatrixF(m));
+  ShardedIndexConfig cfg;
+  cfg.index.kind = IndexConfig::Kind::kIvf;
+  cfg.index.nlist = 2;
+  cfg.index.nprobe = 1;
+  cfg.index.quant = QuantMode::kInt8;
+  const ShardedQueryEngine engine(store, cfg);
+
+  auto& reg = obs::Registry::global();
+  const auto value = [&](const char* name) -> std::uint64_t {
+    const obs::Counter* c = reg.find_counter(name);
+    return c != nullptr ? c->value() : 0;
+  };
+  const std::uint64_t probes = value("seqge_query_ivf_probes_total");
+  const std::uint64_t cands = value("seqge_query_quant_candidates_total");
+  const std::uint64_t fixes = value("seqge_query_quant_corrections_total");
+  const auto hits = engine.topk(NodeId{0}, 1);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_GT(value("seqge_query_ivf_probes_total"), probes);
+  EXPECT_GT(value("seqge_query_quant_candidates_total"), cands);
+  EXPECT_GT(value("seqge_query_quant_corrections_total"), fixes);
+}
+
 // --- EmbeddingServer over a sharded store ---------------------------------
 
 TEST(EmbeddingServerSharded, AnswersMatchDirectEngineAcrossVersions) {
@@ -676,7 +782,7 @@ TEST(EmbeddingServerSharded, AnswersMatchDirectEngineAcrossVersions) {
 
 // --- checkpoint interop ---------------------------------------------------
 
-TEST(ShardedEmbeddingStore, CheckpointRoundTripsThroughUnshardedStore) {
+TEST(ShardedEmbeddingStore, CheckpointRoundTripsAcrossShardCounts) {
   ShardedEmbeddingStore store(3);
   const MatrixF m = random_matrix(9, 4, 61);
   store.publish(MatrixF(m));
@@ -686,10 +792,9 @@ TEST(ShardedEmbeddingStore, CheckpointRoundTripsThroughUnshardedStore) {
   std::stringstream ss;
   store.save(ss);
 
-  EmbeddingStore single;
+  ShardedEmbeddingStore single;
   EXPECT_EQ(single.load(ss), 1u);
-  EXPECT_DOUBLE_EQ(max_abs_diff(single.current()->embedding, expected),
-                   0.0);
+  EXPECT_DOUBLE_EQ(max_abs_diff(single.materialize(), expected), 0.0);
 
   std::stringstream back;
   single.save(back);

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "brute_force_topk.hpp"
 #include "embedding/model.hpp"
 #include "embedding/oselm_dataflow.hpp"
 #include "embedding/oselm_skipgram.hpp"
@@ -22,8 +23,6 @@
 #include "graph/sliding_window.hpp"
 #include "linalg/kernels.hpp"
 #include "sampling/negative_sampler.hpp"
-#include "serve/embedding_store.hpp"
-#include "serve/query_engine.hpp"
 #include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
 #include "util/rng.hpp"
@@ -569,23 +568,31 @@ TEST(Tombstones, QueryEngineFiltersIvfAndQuantPaths) {
   }
 }
 
-TEST(Tombstones, UnshardedStoreRoundTrip) {
-  serve::EmbeddingStore store;
+TEST(Tombstones, OneShardStoreRoundTrip) {
+  serve::ShardedEmbeddingStore store;
   const std::vector<NodeId> dead = {3};
   store.on_tombstone(dead);  // ignored before the first publish
   EXPECT_EQ(store.version(), 0u);
-  store.publish(random_matrix(16, kDims, 71));
+  const MatrixF m = random_matrix(16, kDims, 71);
+  store.publish(MatrixF(m));
   store.on_tombstone(dead);
   EXPECT_EQ(store.version(), 2u);
-  const auto snap = store.current();
+  const auto snap = store.shard(0);
   ASSERT_TRUE(snap->tombstoned(3));
-  serve::QueryEngine engine(snap);
-  for (const auto& h : engine.topk(NodeId{0}, 16)) {
-    EXPECT_NE(h.node, NodeId{3});
+  const serve::ShardedQueryEngine engine(store);
+  const auto hits = engine.topk(NodeId{0}, 16);
+  const auto expect =
+      serve::brute_force_topk(m, 0, 16, serve::Similarity::kCosine,
+                              snap->dead);
+  ASSERT_EQ(hits.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_NE(hits[i].node, NodeId{3});
+    EXPECT_EQ(hits[i].node, expect[i].node);
+    EXPECT_EQ(hits[i].score, expect[i].score);
   }
   // Replace with the empty set: everything served again.
   store.on_tombstone({});
-  EXPECT_FALSE(store.current()->tombstoned(3));
+  EXPECT_FALSE(store.shard(0)->tombstoned(3));
 }
 
 TEST(Tombstones, ConcurrentReadersSeeConsistentSnapshots) {
