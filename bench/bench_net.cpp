@@ -239,9 +239,7 @@ int main(int argc, char** argv) {
     serve::ServerConfig ecfg;
     ecfg.threads = 4;
     serve::EmbeddingServer engine(store, ecfg);
-    net::NetServerConfig ncfg;
-    ncfg.workers = 2;
-    net::Server front(engine, ncfg);
+    net::Server front(engine);
     front.start();
 
     // Trainer stand-in: keep publishing fresh snapshots so queries keep
@@ -250,8 +248,9 @@ int main(int argc, char** argv) {
     std::thread publisher([&] {
       std::uint64_t version_seed = 8;
       while (!stop_pub.load(std::memory_order_acquire)) {
-        store->publish(random_matrix(nodes, dims, version_seed++),
+        store->publish(random_matrix(nodes, dims, version_seed),
                        version_seed * 100, "bench");
+        ++version_seed;
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
     });

@@ -29,7 +29,7 @@
 //       [--top-k 5] [--serve-threads 2] [--snapshot-every 64]
 //       [--shards 4] [--quant int8|none] [--scan-threads 2]
 //       [--metrics-out metrics.json [--metrics-period-ms 1000]]
-//       [--listen [--port 7421] [--listen-for-s 30] [--net-workers 2]
+//       [--listen [--port 7421] [--listen-for-s 30]
 //        [--rate-limit-qps 0] [--max-conns 256] [--port-file path]]
 
 #include <csignal>
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
                 "serving (0 = final dump only)");
   bool listen = false;
   std::int64_t listen_port = 0, listen_for_s = 0;
-  std::size_t net_workers = 2, max_conns = 256;
+  std::size_t max_conns = 256;
   double rate_limit_qps = 0.0;
   std::string port_file;
   args.add_flag("listen", &listen,
@@ -109,8 +109,6 @@ int main(int argc, char** argv) {
                "TCP port for --listen (0 = kernel-assigned)");
   args.add_int("listen-for-s", &listen_for_s,
                "stop serving after this many seconds (0 = until signal)");
-  args.add_size("net-workers", &net_workers,
-                "network responder threads for --listen");
   args.add_double("rate-limit-qps", &rate_limit_qps,
                   "per-connection token-bucket rate (0 = unlimited)");
   args.add_size("max-conns", &max_conns, "max open connections");
@@ -189,7 +187,6 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     net::NetServerConfig ncfg;
     ncfg.port = static_cast<std::uint16_t>(listen_port);
-    ncfg.workers = net_workers;
     ncfg.max_connections = max_conns;
     ncfg.rate_limit_qps = rate_limit_qps;
     net::Server front(*server, ncfg);

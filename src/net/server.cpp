@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
 
 #include "net/token_bucket.hpp"
 #include "obs/metrics.hpp"
@@ -89,44 +90,71 @@ struct Server::Conn {
   bool close_after_flush = false;
 };
 
-/// One wire top-k request waiting inside a coalesced engine batch.
-struct Server::PendingTopK {
+/// One wire request waiting for its engine answer (`node` is used by
+/// coalesced top-k members only).
+struct Server::Pending {
   std::uint64_t conn_id = 0;
   std::uint64_t wire_id = 0;
   NodeId node = 0;
   std::chrono::steady_clock::time_point t0{};
 };
 
-/// Work handed from the event loop to a responder: the engine future
-/// plus everything needed to encode and route the response(s).
-struct Server::Completion {
-  enum class Kind { kScore, kTopKBatch, kScoreBatch, kCoalescedTopK };
-  Kind kind = Kind::kScore;
-  std::uint64_t conn_id = 0;
-  std::uint64_t wire_id = 0;
-  std::chrono::steady_clock::time_point t0{};
-  std::future<serve::ScoreResult> score_fut;
-  std::future<serve::TopKBatchResult> topk_fut;
-  std::future<serve::ScoreBatchResult> score_batch_fut;
-  std::vector<PendingTopK> members;  ///< kCoalescedTopK only
+/// Where engine callbacks leave encoded responses for the event loop.
+/// Each callback holds it by shared_ptr, because the engine may answer
+/// after stop() gave up waiting or after ~Server.
+struct Server::Outbox {
+  std::mutex mu;
+  bool closed = false;  ///< set by stop(); guarded by mu
+  Fd wake_w;            ///< wake-pipe write end; guarded by mu
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>>
+      staged;  ///< guarded by mu
+  /// Requests handed to the engine whose responses are not staged yet.
+  std::atomic<std::int64_t> inflight{0};
+  std::atomic<bool> quiescent{true};  ///< loop: all buffers flushed
+
+  /// Engine-worker side: queue `bytes` for `conn_id` and wake the loop.
+  /// Dropped once the server stopped.
+  void stage(std::uint64_t conn_id, std::vector<std::uint8_t>&& bytes) {
+    std::lock_guard lock(mu);
+    if (closed) return;
+    // A non-empty outbox already has a wake-up pending.
+    const bool idle = staged.empty();
+    staged.emplace_back(conn_id, std::move(bytes));
+    quiescent.store(false, std::memory_order_release);
+    if (idle) write_wake();
+  }
+
+  void wake() {
+    std::lock_guard lock(mu);
+    if (!closed) write_wake();
+  }
+
+  /// Late callbacks drop their bytes and never touch the (then closed,
+  /// possibly reused) wake fd.
+  void close() {
+    std::lock_guard lock(mu);
+    closed = true;
+    staged.clear();
+    wake_w.reset();
+  }
+
+ private:
+  void write_wake() const noexcept {
+    const char b = 1;
+    // Non-blocking; a full pipe already guarantees a pending wake-up.
+    (void)::write(wake_w.get(), &b, 1);
+  }
 };
 
 Server::Server(serve::EmbeddingServer& engine, NetServerConfig cfg)
     : engine_(engine), cfg_(std::move(cfg)) {
-  if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.coalesce_max == 0) cfg_.coalesce_max = 1;
-  completions_ = std::make_unique<BoundedQueue<Completion>>(
-      cfg_.completion_capacity == 0 ? 1 : cfg_.completion_capacity);
 }
 
 Server::~Server() { stop(); }
 
 void Server::start() {
   if (running_.load(std::memory_order_acquire)) return;
-  // A previous stop() closed the completion queue; restartable servers
-  // need a fresh one.
-  completions_ = std::make_unique<BoundedQueue<Completion>>(
-      cfg_.completion_capacity == 0 ? 1 : cfg_.completion_capacity);
   listen_fd_ = listen_tcp(cfg_.bind_addr, cfg_.port);
   set_nonblocking(listen_fd_);
   port_ = bound_port(listen_fd_);
@@ -136,22 +164,21 @@ void Server::start() {
     throw std::system_error(errno, std::generic_category(), "net: pipe");
   }
   wake_r_ = Fd(pipe_fds[0]);
-  wake_w_ = Fd(pipe_fds[1]);
+  // A previous stop() closed its outbox for good (late callbacks still
+  // hold it); this run gets a fresh one.
+  outbox_ = std::make_shared<Outbox>();
+  outbox_->wake_w = Fd(pipe_fds[1]);
   set_nonblocking(wake_r_);
-  set_nonblocking(wake_w_);
+  set_nonblocking(outbox_->wake_w);
 
   draining_.store(false, std::memory_order_release);
   stop_loop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
 
-  responders_.reserve(cfg_.workers);
-  for (std::size_t i = 0; i < cfg_.workers; ++i) {
-    responders_.emplace_back([this] { responder_loop(); });
-  }
   loop_ = std::thread([this] { run_loop(); });
   SEQGE_LOG_INFO << "net: listening on " << cfg_.bind_addr << ":" << port_
-                 << " (" << cfg_.workers << " responders, engine queue cap "
-                 << engine_.queue_capacity() << ")";
+                 << " (engine queue cap " << engine_.queue_capacity()
+                 << ")";
 }
 
 std::size_t Server::stop() {
@@ -161,53 +188,34 @@ std::size_t Server::stop() {
   // responses still reach their sockets; new requests get
   // SHUTTING_DOWN and accept() is parked.
   draining_.store(true, std::memory_order_release);
-  wake();
+  outbox_->wake();
   const auto deadline =
       std::chrono::steady_clock::now() + cfg_.drain_timeout;
   std::size_t left = 0;
   for (;;) {
-    left = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, inflight_.load(std::memory_order_acquire)));
-    if (left == 0 && quiescent_.load(std::memory_order_acquire)) break;
+    left = static_cast<std::size_t>(std::max<std::int64_t>(
+        0, outbox_->inflight.load(std::memory_order_acquire)));
+    if (left == 0 && outbox_->quiescent.load(std::memory_order_acquire)) {
+      break;
+    }
     if (std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  // Phase 2: tear down. Responders may still be blocked in
-  // future.get(); the engine (not drained here — it belongs to the
-  // caller) fulfills those promises, the staged bytes are dropped.
-  completions_->close();
+  // Phase 2: tear down. Requests still in the engine (not drained here
+  // — it belongs to the caller) are answered later; the closed outbox
+  // drops their bytes.
   stop_loop_.store(true, std::memory_order_release);
-  wake();
+  outbox_->wake();
   if (loop_.joinable()) loop_.join();
-  for (auto& th : responders_) {
-    if (th.joinable()) th.join();
-  }
-  responders_.clear();
+  outbox_->close();
   listen_fd_.reset();
   wake_r_.reset();
-  wake_w_.reset();
   if (left != 0) {
     SEQGE_LOG_WARN << "net: drain timeout expired with " << left
                    << " responses in flight";
   }
   return left;
-}
-
-void Server::wake() noexcept {
-  if (!wake_w_.valid()) return;
-  const char b = 1;
-  // Non-blocking; a full pipe already guarantees a pending wake-up.
-  (void)::write(wake_w_.get(), &b, 1);
-}
-
-void Server::stage(std::uint64_t conn_id, std::vector<std::uint8_t>&& bytes) {
-  {
-    std::lock_guard lock(outbox_mu_);
-    outbox_.emplace_back(conn_id, std::move(bytes));
-  }
-  quiescent_.store(false, std::memory_order_release);
-  wake();
 }
 
 ServerStats Server::snapshot_stats() const {
@@ -295,138 +303,107 @@ void Server::dispatch(Conn& conn, Request&& req,
   requests_.fetch_add(1, std::memory_order_relaxed);
   m.requests->add();
 
-  const auto shed = [&] {
-    rej_overload_.fetch_add(1, std::memory_order_relaxed);
-    m.rej_overload->add();
-    std::vector<std::uint8_t> err;
-    encode_error_response(err, req.type, req.id, Status::kOverloaded);
-    send_now(conn, err);
-  };
-  const auto enqueue = [&](Completion&& c) {
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    m.inflight->add();
-    if (!completions_->try_push(std::move(c))) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      m.inflight->sub();
-      shed();
-    }
-  };
-
+  const Pending self{conn.id, req.id, req.u, t0};
   switch (req.type) {
     case MsgType::kTopK:
       // Deferred: coalesced with this sweep's other single top-ks into
       // one engine batch call (flush_coalesced).
-      pending_topk_[req.k].push_back(
-          PendingTopK{conn.id, req.id, req.u, t0});
+      pending_topk_[req.k].push_back(self);
       if (pending_topk_[req.k].size() >= cfg_.coalesce_max) {
         flush_coalesced();
       }
       break;
-    case MsgType::kScore: {
-      auto fut = engine_.try_score(req.u, req.v, req.kind);
-      if (!fut) {
-        shed();
-        break;
-      }
-      Completion c;
-      c.kind = Completion::Kind::kScore;
-      c.conn_id = conn.id;
-      c.wire_id = req.id;
-      c.t0 = t0;
-      c.score_fut = std::move(*fut);
-      enqueue(std::move(c));
+    case MsgType::kScore:
+      submit(req.type, serve::ScoreQuery{req.u, req.v, req.kind},
+             {self});
       break;
-    }
-    case MsgType::kTopKBatch: {
-      auto fut = engine_.try_topk_batch(std::move(req.nodes), req.k);
-      if (!fut) {
-        shed();
-        break;
-      }
-      Completion c;
-      c.kind = Completion::Kind::kTopKBatch;
-      c.conn_id = conn.id;
-      c.wire_id = req.id;
-      c.t0 = t0;
-      c.topk_fut = std::move(*fut);
-      enqueue(std::move(c));
+    case MsgType::kTopKBatch:
+      submit(req.type, serve::TopKBatchQuery{std::move(req.nodes), req.k},
+             {self});
       break;
-    }
-    case MsgType::kScoreBatch: {
-      auto fut = engine_.try_score_batch(std::move(req.pairs), req.kind);
-      if (!fut) {
-        shed();
-        break;
-      }
-      Completion c;
-      c.kind = Completion::Kind::kScoreBatch;
-      c.conn_id = conn.id;
-      c.wire_id = req.id;
-      c.t0 = t0;
-      c.score_batch_fut = std::move(*fut);
-      enqueue(std::move(c));
+    case MsgType::kScoreBatch:
+      submit(req.type, serve::ScoreBatchQuery{std::move(req.pairs), req.kind},
+             {self});
       break;
-    }
     case MsgType::kStats:
     case MsgType::kPing:
       break;  // handled above
   }
 }
 
-void Server::flush_coalesced() {
+namespace {
+
+/// Response frame for member `i` of an engine answer: a score or batch
+/// request has one member, a coalesced top-k one per wire request.
+void encode_answer(std::vector<std::uint8_t>& out, MsgType type,
+                   std::uint64_t wire_id, const serve::Answer& a,
+                   std::size_t i) {
+  const auto* topk = std::get_if<serve::TopKBatchResult>(&a);
+  if (const auto* r = std::get_if<serve::ScoreResult>(&a)) {
+    encode_score_response(out, wire_id, r->version, r->score);
+  } else if (const auto* r = std::get_if<serve::ScoreBatchResult>(&a)) {
+    encode_score_batch_response(out, wire_id, r->version, r->scores);
+  } else if (topk != nullptr && type == MsgType::kTopKBatch) {
+    encode_topk_batch_response(out, wire_id, topk->version, topk->results);
+  } else if (topk != nullptr && i < topk->results.size()) {
+    encode_topk_response(out, wire_id, topk->version, topk->results[i]);
+  } else {
+    encode_error_response(out, type, wire_id, Status::kError);
+  }
+}
+
+}  // namespace
+
+void Server::submit(MsgType type, serve::Query q,
+                    std::vector<Pending> members) {
   auto& m = net_metrics();
+  outbox_->inflight.fetch_add(1, std::memory_order_acq_rel);
+  m.inflight->add();
+  // Runs on the engine worker: it must not touch `this`, which may be
+  // gone by then.
+  auto done = [out = outbox_, type, members](serve::Answer&& a) {
+    auto& m = net_metrics();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const Pending& p = members[i];
+      std::vector<std::uint8_t> bytes;
+      encode_answer(bytes, type, p.wire_id, a, i);
+      m.request_us->observe(std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - p.t0)
+                                .count());
+      out->stage(p.conn_id, std::move(bytes));
+    }
+    out->inflight.fetch_sub(1, std::memory_order_acq_rel);
+    m.inflight->sub();
+  };
+  if (engine_.try_submit(std::move(q), std::move(done))) {
+    if (members.size() > 1) {
+      m.coalesced_batches->add();
+      m.coalesced_requests->add(members.size());
+    }
+    return;
+  }
+
+  outbox_->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  m.inflight->sub();
+  for (const Pending& p : members) {
+    rej_overload_.fetch_add(1, std::memory_order_relaxed);
+    m.rej_overload->add();
+    auto it = conns_.find(p.conn_id);
+    if (it == conns_.end()) continue;
+    std::vector<std::uint8_t> err;
+    encode_error_response(err, type, p.wire_id, Status::kOverloaded);
+    send_now(*it->second, err);
+  }
+}
+
+void Server::flush_coalesced() {
   for (auto& [k, members] : pending_topk_) {
     if (members.empty()) continue;
     std::vector<NodeId> nodes;
     nodes.reserve(members.size());
     for (const auto& p : members) nodes.push_back(p.node);
-
-    auto fut = engine_.try_topk_batch(std::move(nodes), k);
-    if (!fut) {
-      for (const auto& p : members) {
-        rej_overload_.fetch_add(1, std::memory_order_relaxed);
-        m.rej_overload->add();
-        auto it = conns_.find(p.conn_id);
-        if (it == conns_.end()) continue;
-        std::vector<std::uint8_t> err;
-        encode_error_response(err, MsgType::kTopK, p.wire_id,
-                              Status::kOverloaded);
-        send_now(*it->second, err);
-      }
-      members.clear();
-      continue;
-    }
-    if (members.size() > 1) {
-      m.coalesced_batches->add();
-      m.coalesced_requests->add(members.size());
-    }
-    Completion c;
-    c.kind = Completion::Kind::kCoalescedTopK;
-    c.t0 = members.front().t0;
-    c.topk_fut = std::move(*fut);
-    c.members = std::move(members);
-    members.clear();
-
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    m.inflight->add();
-    if (!completions_->try_push(std::move(c))) {
-      // Completion queue saturated: shed the whole group. try_push
-      // rejects without consuming, so c (and its member list) is still
-      // intact; the abandoned engine future is fulfilled then dropped —
-      // wasted work bounded by the completion-queue capacity.
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      m.inflight->sub();
-      for (const auto& p : c.members) {
-        rej_overload_.fetch_add(1, std::memory_order_relaxed);
-        m.rej_overload->add();
-        auto it = conns_.find(p.conn_id);
-        if (it == conns_.end()) continue;
-        std::vector<std::uint8_t> err;
-        encode_error_response(err, MsgType::kTopK, p.wire_id,
-                              Status::kOverloaded);
-        send_now(*it->second, err);
-      }
-    }
+    submit(MsgType::kTopK, serve::TopKBatchQuery{std::move(nodes), k},
+           std::move(members));
   }
   pending_topk_.clear();
 }
@@ -530,8 +507,8 @@ void Server::run_loop() {
       }
       std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> staged;
       {
-        std::lock_guard lock(outbox_mu_);
-        staged.swap(outbox_);
+        std::lock_guard lock(outbox_->mu);
+        staged.swap(outbox_->staged);
       }
       for (auto& [conn_id, bytes] : staged) {
         auto it = conns_.find(conn_id);
@@ -632,21 +609,20 @@ void Server::run_loop() {
     }
 
     // Quiescence signal for the graceful drain: no staged responses
-    // and every write buffer flushed.
-    bool quiet = true;
-    {
-      std::lock_guard lock(outbox_mu_);
-      quiet = outbox_.empty();
-    }
-    if (quiet) {
-      for (const auto& [id, conn] : conns_) {
-        if (!conn->out.empty()) {
-          quiet = false;
-          break;
-        }
+    // and every write buffer flushed. Stored under the outbox lock so a
+    // response staged meanwhile is not overwritten as quiet.
+    bool flushed = true;
+    for (const auto& [id, conn] : conns_) {
+      if (!conn->out.empty()) {
+        flushed = false;
+        break;
       }
     }
-    quiescent_.store(quiet, std::memory_order_release);
+    {
+      std::lock_guard lock(outbox_->mu);
+      outbox_->quiescent.store(flushed && outbox_->staged.empty(),
+                               std::memory_order_release);
+    }
   }
 
   // Loop exit: close every connection.
@@ -654,88 +630,6 @@ void Server::run_loop() {
   ids.reserve(conns_.size());
   for (const auto& [id, conn] : conns_) ids.push_back(id);
   for (std::uint64_t id : ids) close_conn(id);
-}
-
-void Server::responder_loop() {
-  auto& m = net_metrics();
-  for (;;) {
-    auto item = completions_->pop();
-    if (!item) break;  // closed and drained
-    Completion& c = *item;
-    const auto done = [&](std::chrono::steady_clock::time_point t0) {
-      m.request_us->observe(std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count());
-    };
-    switch (c.kind) {
-      case Completion::Kind::kScore: {
-        std::vector<std::uint8_t> out;
-        try {
-          const serve::ScoreResult res = c.score_fut.get();
-          encode_score_response(out, c.wire_id, res.version, res.score);
-        } catch (const std::exception&) {
-          encode_error_response(out, MsgType::kScore, c.wire_id,
-                                Status::kError);
-        }
-        done(c.t0);
-        stage(c.conn_id, std::move(out));
-        break;
-      }
-      case Completion::Kind::kTopKBatch: {
-        std::vector<std::uint8_t> out;
-        try {
-          const serve::TopKBatchResult res = c.topk_fut.get();
-          encode_topk_batch_response(out, c.wire_id, res.version,
-                                     res.results);
-        } catch (const std::exception&) {
-          encode_error_response(out, MsgType::kTopKBatch, c.wire_id,
-                                Status::kError);
-        }
-        done(c.t0);
-        stage(c.conn_id, std::move(out));
-        break;
-      }
-      case Completion::Kind::kScoreBatch: {
-        std::vector<std::uint8_t> out;
-        try {
-          const serve::ScoreBatchResult res = c.score_batch_fut.get();
-          encode_score_batch_response(out, c.wire_id, res.version,
-                                      res.scores);
-        } catch (const std::exception&) {
-          encode_error_response(out, MsgType::kScoreBatch, c.wire_id,
-                                Status::kError);
-        }
-        done(c.t0);
-        stage(c.conn_id, std::move(out));
-        break;
-      }
-      case Completion::Kind::kCoalescedTopK: {
-        serve::TopKBatchResult res;
-        bool ok = true;
-        try {
-          res = c.topk_fut.get();
-        } catch (const std::exception&) {
-          ok = false;
-        }
-        for (std::size_t i = 0; i < c.members.size(); ++i) {
-          const PendingTopK& p = c.members[i];
-          std::vector<std::uint8_t> out;
-          if (ok && i < res.results.size()) {
-            encode_topk_response(out, p.wire_id, res.version,
-                                 res.results[i]);
-          } else {
-            encode_error_response(out, MsgType::kTopK, p.wire_id,
-                                  Status::kError);
-          }
-          done(p.t0);
-          stage(p.conn_id, std::move(out));
-        }
-        break;
-      }
-    }
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    m.inflight->sub();
-  }
 }
 
 }  // namespace seqge::net

@@ -4,16 +4,16 @@
 // and "system": external clients issue top-k / edge-score / batch /
 // stats requests over a socket instead of std::future in-process.
 //
-// Architecture — acceptor/event-loop + responder workers:
+// Architecture — one event-loop thread; the engine workers answer:
 //
-//   clients ──▶ event-loop thread (poll)          responder pool
-//              ┌──────────────────────────┐      ┌───────────────────┐
-//              │ accept / read / decode   │ Com- │ future.get()      │
-//              │ admission control:       │ ple- │ encode response   │
-//              │  * SHUTTING_DOWN drain   │ tion │ stage to outbox,  │
-//              │  * token-bucket          │ queue│ wake the loop     │
-//              │    RATE_LIMITED          │ ───▶ │                   │
-//              │  * try_* shed            │      └───────────────────┘
+//   clients ──▶ event-loop thread (poll)         engine worker pool
+//              ┌──────────────────────────┐     ┌────────────────────┐
+//              │ accept / read / decode   │     │ answer the query   │
+//              │ admission control:       │ try_│ callback:          │
+//              │  * SHUTTING_DOWN drain   │ sub-│  encode response,  │
+//              │  * token-bucket          │ mit │  stage to outbox,  │
+//              │    RATE_LIMITED          │ ──▶ │  wake the loop     │
+//              │  * engine queue full:    │     └────────────────────┘
 //              │    OVERLOADED            │  ◀── outbox + wake pipe
 //              │ coalesce single top-k    │
 //              │ into engine batch calls  │
@@ -21,13 +21,15 @@
 //              └──────────────────────────┘
 //
 // The event loop never blocks on the engine: submission goes through
-// EmbeddingServer::try_* (BoundedQueue::try_push under the hood), so a
-// saturated engine queue sheds with OVERLOADED instead of parking the
-// loop; responder workers absorb the blocking future.get() calls.
+// EmbeddingServer::try_submit (BoundedQueue::try_push under the hood),
+// so a saturated engine queue sheds with OVERLOADED instead of parking
+// the loop. The worker that answers a request runs its callback, which
+// encodes the response frame(s) and stages them — one thread hop per
+// request, and no thread that only waits.
 //
 // Coalescing: single top-k requests decoded in one poll sweep (across
 // connections) with the same k are merged into one
-// EmbeddingServer::topk_batch call — one queue slot and one worker
+// serve::TopKBatchQuery — one queue slot and one worker
 // wake-up for the whole group — and fanned back out as individual
 // responses. This is the host-side analogue of the accelerator's
 // batched walk training: amortize per-item dispatch over a batch.
@@ -39,15 +41,17 @@
 // seqge_net_* (docs/OBSERVABILITY.md).
 //
 // Threading: the connection table is owned exclusively by the event-
-// loop thread; responders communicate with it only through the locked
-// outbox + wake pipe, and with clients never directly. start()/stop()
-// are for one controlling thread; stats accessors are safe anywhere.
+// loop thread; engine workers reach the loop only through the locked
+// outbox + wake pipe, and clients never directly. The engine belongs to the
+// caller and may answer after stop() timed out or after ~Server, so the
+// outbox is shared with every callback and stop() closes it: late
+// answers are dropped. start()/stop() are for one controlling thread;
+// stats accessors are safe anywhere.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -56,7 +60,6 @@
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "serve/embedding_server.hpp"
-#include "util/bounded_queue.hpp"
 
 namespace seqge::net {
 
@@ -64,7 +67,9 @@ struct NetServerConfig {
   std::string bind_addr = "127.0.0.1";
   /// 0 = kernel-assigned ephemeral port; read back with port().
   std::uint16_t port = 0;
-  /// Responder threads turning engine futures into response frames.
+  /// Ignored: engine workers encode the responses, so the server runs
+  /// no responder threads. Kept only because perfbench/perfbench.cpp
+  /// still sets it; it goes with the next change to the benchmark.
   std::size_t workers = 2;
   /// Accepted connections beyond this are closed immediately.
   std::size_t max_connections = 256;
@@ -80,9 +85,6 @@ struct NetServerConfig {
   double rate_limit_burst = 64.0;
   /// Max single top-k requests coalesced into one engine batch call.
   std::size_t coalesce_max = 16;
-  /// Completion-queue capacity (responses in flight between the event
-  /// loop and the responders); overflow sheds with OVERLOADED.
-  std::size_t completion_capacity = 4096;
   /// stop() waits this long for in-flight responses to flush before
   /// tearing connections down.
   std::chrono::milliseconds drain_timeout{2000};
@@ -97,7 +99,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, and spawn the event loop + responders. Throws
+  /// Bind, listen, and spawn the event-loop thread. Throws
   /// std::system_error on bind failure.
   void start();
 
@@ -110,8 +112,8 @@ class Server {
 
   /// Graceful drain: stop accepting, answer new requests with
   /// SHUTTING_DOWN, wait up to cfg.drain_timeout for in-flight
-  /// responses to flush, then close every connection and join all
-  /// threads. Idempotent; also run by the destructor. Returns the
+  /// responses to flush, then close every connection and join the
+  /// event loop. Idempotent; also run by the destructor. Returns the
   /// number of responses still in flight when the timeout expired
   /// (0 = clean drain).
   std::size_t stop();
@@ -139,52 +141,48 @@ class Server {
 
  private:
   struct Conn;
-  struct PendingTopK;
-  struct Completion;
+  struct Pending;
+  struct Outbox;
 
   void run_loop();
-  void responder_loop();
   /// Parse + dispatch every complete frame in `conn`'s read buffer.
   void process_frames(Conn& conn);
   void dispatch(Conn& conn, Request&& req,
                 std::chrono::steady_clock::time_point t0);
+  /// Hand `q` to the engine; its callback encodes one `type` response
+  /// per member (a coalesced top-k has several) on the engine worker and
+  /// stages them. Sheds every member with OVERLOADED when the engine
+  /// queue is full.
+  void submit(MsgType type, serve::Query q, std::vector<Pending> members);
   /// Submit the coalesced single-top-k groups accumulated this sweep.
   void flush_coalesced();
-  /// Responder side: queue response bytes for `conn_id` and wake the
-  /// event loop.
-  void stage(std::uint64_t conn_id, std::vector<std::uint8_t>&& bytes);
   /// Event-loop side: append + try to flush immediately.
   void send_now(Conn& conn, const std::vector<std::uint8_t>& bytes);
   bool flush_out(Conn& conn);  ///< false = fatal write error, drop conn
   void close_conn(std::uint64_t conn_id);
-  void wake() noexcept;
   ServerStats snapshot_stats() const;
 
   serve::EmbeddingServer& engine_;
   NetServerConfig cfg_;
 
   Fd listen_fd_;
-  Fd wake_r_, wake_w_;
+  Fd wake_r_;
   std::uint16_t port_ = 0;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_loop_{false};
-  std::atomic<bool> quiescent_{true};  ///< loop: all buffers flushed
-  std::atomic<std::int64_t> inflight_{0};
 
-  std::unique_ptr<BoundedQueue<Completion>> completions_;
-  std::mutex outbox_mu_;
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> outbox_;
+  /// Made fresh by each start(); shared with every engine callback.
+  std::shared_ptr<Outbox> outbox_;
 
   std::thread loop_;
-  std::vector<std::thread> responders_;
 
   // Event-loop-owned state (touched only by run_loop and the helpers
   // it calls on its own thread).
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = 1;
-  std::unordered_map<std::uint32_t, std::vector<PendingTopK>> pending_topk_;
+  std::unordered_map<std::uint32_t, std::vector<Pending>> pending_topk_;
 
   std::atomic<std::uint64_t> conns_total_{0};
   std::atomic<std::uint64_t> requests_{0};

@@ -96,101 +96,47 @@ bool EmbeddingServer::submit(Request&& req, bool blocking) {
   return true;
 }
 
-std::future<TopKResult> EmbeddingServer::topk(NodeId u, std::size_t k) {
-  Request req;
-  req.type = RequestType::kTopK;
-  req.u = u;
-  req.k = k;
-  std::future<TopKResult> fut = req.topk_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/true)) {
+bool EmbeddingServer::try_submit(Query q, AnswerCallback done) {
+  return submit(Request{std::move(q), std::move(done)}, /*blocking=*/false);
+}
+
+template <typename Result>
+std::future<Result> EmbeddingServer::submit_for_future(Query q) {
+  // std::function needs a copyable callable, so the promise is shared.
+  auto promise = std::make_shared<std::promise<Result>>();
+  std::future<Result> fut = promise->get_future();
+  auto done = [promise](Answer&& a) {
+    if (auto* err = std::get_if<std::exception_ptr>(&a)) {
+      promise->set_exception(*err);
+    } else {
+      promise->set_value(std::get<Result>(std::move(a)));
+    }
+  };
+  if (!submit(Request{std::move(q), std::move(done)}, /*blocking=*/true)) {
     throw std::runtime_error("EmbeddingServer: draining, request rejected");
   }
   return fut;
+}
+
+std::future<TopKResult> EmbeddingServer::topk(NodeId u, std::size_t k) {
+  return submit_for_future<TopKResult>(TopKQuery{u, k});
 }
 
 std::future<ScoreResult> EmbeddingServer::score(NodeId u, NodeId v,
                                                 EdgeScore kind) {
-  Request req;
-  req.type = RequestType::kScore;
-  req.u = u;
-  req.v = v;
-  req.score_kind = kind;
-  std::future<ScoreResult> fut = req.score_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/true)) {
-    throw std::runtime_error("EmbeddingServer: draining, request rejected");
-  }
-  return fut;
+  return submit_for_future<ScoreResult>(ScoreQuery{u, v, kind});
 }
 
 std::future<TopKBatchResult> EmbeddingServer::topk_batch(
     std::vector<NodeId> nodes, std::size_t k) {
-  Request req;
-  req.type = RequestType::kTopKBatch;
-  req.k = k;
-  req.nodes = std::move(nodes);
-  std::future<TopKBatchResult> fut = req.topk_batch_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/true)) {
-    throw std::runtime_error("EmbeddingServer: draining, request rejected");
-  }
-  return fut;
+  return submit_for_future<TopKBatchResult>(
+      TopKBatchQuery{std::move(nodes), k});
 }
 
 std::future<ScoreBatchResult> EmbeddingServer::score_batch(
     std::vector<std::pair<NodeId, NodeId>> pairs, EdgeScore kind) {
-  Request req;
-  req.type = RequestType::kScoreBatch;
-  req.score_kind = kind;
-  req.pairs = std::move(pairs);
-  std::future<ScoreBatchResult> fut = req.score_batch_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/true)) {
-    throw std::runtime_error("EmbeddingServer: draining, request rejected");
-  }
-  return fut;
-}
-
-std::optional<std::future<TopKResult>> EmbeddingServer::try_topk(
-    NodeId u, std::size_t k) {
-  Request req;
-  req.type = RequestType::kTopK;
-  req.u = u;
-  req.k = k;
-  std::future<TopKResult> fut = req.topk_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/false)) return std::nullopt;
-  return fut;
-}
-
-std::optional<std::future<ScoreResult>> EmbeddingServer::try_score(
-    NodeId u, NodeId v, EdgeScore kind) {
-  Request req;
-  req.type = RequestType::kScore;
-  req.u = u;
-  req.v = v;
-  req.score_kind = kind;
-  std::future<ScoreResult> fut = req.score_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/false)) return std::nullopt;
-  return fut;
-}
-
-std::optional<std::future<TopKBatchResult>> EmbeddingServer::try_topk_batch(
-    std::vector<NodeId> nodes, std::size_t k) {
-  Request req;
-  req.type = RequestType::kTopKBatch;
-  req.k = k;
-  req.nodes = std::move(nodes);
-  std::future<TopKBatchResult> fut = req.topk_batch_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/false)) return std::nullopt;
-  return fut;
-}
-
-std::optional<std::future<ScoreBatchResult>> EmbeddingServer::try_score_batch(
-    std::vector<std::pair<NodeId, NodeId>> pairs, EdgeScore kind) {
-  Request req;
-  req.type = RequestType::kScoreBatch;
-  req.score_kind = kind;
-  req.pairs = std::move(pairs);
-  std::future<ScoreBatchResult> fut = req.score_batch_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/false)) return std::nullopt;
-  return fut;
+  return submit_for_future<ScoreBatchResult>(
+      ScoreBatchQuery{std::move(pairs), kind});
 }
 
 std::uint64_t EmbeddingServer::store_version() const {
@@ -228,57 +174,51 @@ std::shared_ptr<const ShardedQueryEngine> EmbeddingServer::engine() {
   return built;
 }
 
-void EmbeddingServer::record(const Request& req, std::size_t weight) {
+void EmbeddingServer::record(const Request& req) {
   const double us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - req.enqueued)
           .count();
   latency_hist_.observe(us);
   serve_metrics().request_us->observe(us);
+  // Batches count once per member.
+  std::size_t weight = 1;
+  if (const auto* b = std::get_if<TopKBatchQuery>(&req.query)) {
+    weight = std::max<std::size_t>(1, b->nodes.size());
+  } else if (const auto* b = std::get_if<ScoreBatchQuery>(&req.query)) {
+    weight = std::max<std::size_t>(1, b->pairs.size());
+  }
   served_.fetch_add(weight, std::memory_order_relaxed);
 }
 
-void EmbeddingServer::answer(Request& req) {
+Answer EmbeddingServer::answer(const Query& q) {
   const auto eng = engine();
   if (eng == nullptr) {
     throw std::runtime_error("EmbeddingServer: no snapshot published yet");
   }
-  switch (req.type) {
-    case RequestType::kTopK: {
-      TopKResult res;
-      res.version = eng->version();
-      res.neighbors = eng->topk(req.u, req.k, cfg_.similarity);
-      req.topk_promise.set_value(std::move(res));
-      break;
-    }
-    case RequestType::kScore: {
-      ScoreResult res;
-      res.version = eng->version();
-      res.score = eng->score(req.u, req.v, req.score_kind);
-      req.score_promise.set_value(std::move(res));
-      break;
-    }
-    case RequestType::kTopKBatch: {
-      TopKBatchResult res;
-      res.version = eng->version();
-      res.results.reserve(req.nodes.size());
-      for (NodeId u : req.nodes) {
-        res.results.push_back(eng->topk(u, req.k, cfg_.similarity));
-      }
-      req.topk_batch_promise.set_value(std::move(res));
-      break;
-    }
-    case RequestType::kScoreBatch: {
-      ScoreBatchResult res;
-      res.version = eng->version();
-      res.scores.reserve(req.pairs.size());
-      for (const auto& [u, v] : req.pairs) {
-        res.scores.push_back(eng->score(u, v, req.score_kind));
-      }
-      req.score_batch_promise.set_value(std::move(res));
-      break;
-    }
+  if (const auto* t = std::get_if<TopKQuery>(&q)) {
+    return TopKResult{eng->version(), eng->topk(t->u, t->k, cfg_.similarity)};
   }
+  if (const auto* s = std::get_if<ScoreQuery>(&q)) {
+    return ScoreResult{eng->version(), eng->score(s->u, s->v, s->kind)};
+  }
+  if (const auto* tb = std::get_if<TopKBatchQuery>(&q)) {
+    TopKBatchResult res;
+    res.version = eng->version();
+    res.results.reserve(tb->nodes.size());
+    for (NodeId u : tb->nodes) {
+      res.results.push_back(eng->topk(u, tb->k, cfg_.similarity));
+    }
+    return res;
+  }
+  const auto& sb = std::get<ScoreBatchQuery>(q);
+  ScoreBatchResult res;
+  res.version = eng->version();
+  res.scores.reserve(sb.pairs.size());
+  for (const auto& [u, v] : sb.pairs) {
+    res.scores.push_back(eng->score(u, v, sb.kind));
+  }
+  return res;
 }
 
 void EmbeddingServer::worker_loop() {
@@ -287,32 +227,14 @@ void EmbeddingServer::worker_loop() {
     if (!item) break;  // closed and drained
     serve_metrics().queue_depth->sub();
     Request& req = *item;
+    Answer ans;
     try {
-      answer(req);
+      ans = answer(req.query);
     } catch (...) {
-      auto err = std::current_exception();
-      switch (req.type) {
-        case RequestType::kTopK:
-          req.topk_promise.set_exception(err);
-          break;
-        case RequestType::kScore:
-          req.score_promise.set_exception(err);
-          break;
-        case RequestType::kTopKBatch:
-          req.topk_batch_promise.set_exception(err);
-          break;
-        case RequestType::kScoreBatch:
-          req.score_batch_promise.set_exception(err);
-          break;
-      }
+      ans = std::current_exception();
     }
-    std::size_t weight = 1;
-    if (req.type == RequestType::kTopKBatch) {
-      weight = std::max<std::size_t>(1, req.nodes.size());
-    } else if (req.type == RequestType::kScoreBatch) {
-      weight = std::max<std::size_t>(1, req.pairs.size());
-    }
-    record(req, weight);
+    record(req);
+    req.done(std::move(ans));
     pending_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }

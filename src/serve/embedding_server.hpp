@@ -14,25 +14,33 @@
 // observe freshness, and each request's queue+service latency is
 // recorded for the percentile summary.
 //
-// Threading guarantees: submission (topk/score) is safe from any
-// number of client threads; responses are fulfilled exactly once; the
-// versions observed by any single client thread's responses are
-// monotonically non-decreasing (the store's versions are strictly
-// monotonic and workers never install an older engine over a newer
-// one).
+// Every request carries one completion callback. The worker that
+// answers it calls the callback exactly once, on the worker thread,
+// with the answer or with the error; a front-end (src/net/server.cpp)
+// encodes and stages its response right there, so a request costs one
+// thread hop. topk/score/topk_batch/score_batch are future wrappers
+// over the same path for in-process callers.
 //
-// Shutdown is a graceful drain: close() stops admission, workers finish
-// everything already queued (every accepted future is fulfilled), then
-// join. The destructor drains implicitly.
+// Threading guarantees: submission is safe from any number of client
+// threads; the versions observed by any single client thread's
+// responses are monotonically non-decreasing (the store's versions are
+// strictly monotonic and workers never install an older engine over a
+// newer one).
+//
+// Shutdown is a graceful drain: drain() stops admission, workers finish
+// everything already queued (every accepted request's callback runs),
+// then join. The destructor drains implicitly.
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -86,6 +94,38 @@ struct ScoreBatchResult {
   std::vector<double> scores;  ///< one entry per (u, v) pair
 };
 
+/// The four request kinds. A batch takes one queue slot and is
+/// answered against one snapshot however many members it carries.
+struct TopKQuery {
+  NodeId u = 0;
+  std::size_t k = 10;
+};
+struct ScoreQuery {
+  NodeId u = 0;
+  NodeId v = 0;
+  EdgeScore kind = EdgeScore::kCosine;
+};
+struct TopKBatchQuery {
+  std::vector<NodeId> nodes;
+  std::size_t k = 10;
+};
+struct ScoreBatchQuery {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  EdgeScore kind = EdgeScore::kCosine;
+};
+using Query =
+    std::variant<TopKQuery, ScoreQuery, TopKBatchQuery, ScoreBatchQuery>;
+
+/// What a callback receives: the error, or the result matching the
+/// query's kind (TopKQuery -> TopKResult, and so on).
+using Answer = std::variant<std::exception_ptr, TopKResult, ScoreResult,
+                            TopKBatchResult, ScoreBatchResult>;
+
+/// Called exactly once per accepted request, on the worker thread that
+/// answered it. Must not throw; it runs on the serving hot path, so it
+/// should hand the answer off rather than block.
+using AnswerCallback = std::function<void(Answer&&)>;
+
 /// Latency summary, microseconds. `count` covers every answered
 /// request; mean/percentiles/max come from a per-server obs::Histogram
 /// over all requests (constant memory however long the server runs;
@@ -113,35 +153,21 @@ class EmbeddingServer {
   EmbeddingServer(const EmbeddingServer&) = delete;
   EmbeddingServer& operator=(const EmbeddingServer&) = delete;
 
-  /// Enqueue a top-k neighbors query for node u. Throws
-  /// std::runtime_error if the server is draining.
-  std::future<TopKResult> topk(NodeId u, std::size_t k);
+  /// Non-blocking submission: enqueue `q` and return true, or return
+  /// false at once when the queue is full or the server is draining —
+  /// the shed path the network front-end answers with OVERLOADED. A
+  /// shed request's callback is never called.
+  [[nodiscard]] bool try_submit(Query q, AnswerCallback done);
 
-  /// Enqueue a link-prediction score query for candidate edge (u, v).
+  /// Blocking future wrappers for in-process callers: wait for a queue
+  /// slot, then return the answer's future. Throw std::runtime_error if
+  /// the server is draining.
+  std::future<TopKResult> topk(NodeId u, std::size_t k);
   std::future<ScoreResult> score(NodeId u, NodeId v,
                                  EdgeScore kind = EdgeScore::kCosine);
-
-  /// Enqueue a batch of top-k queries answered against one snapshot.
-  /// One queue slot regardless of batch size.
   std::future<TopKBatchResult> topk_batch(std::vector<NodeId> nodes,
                                           std::size_t k);
-
-  /// Enqueue a batch of edge-score queries answered against one
-  /// snapshot.
   std::future<ScoreBatchResult> score_batch(
-      std::vector<std::pair<NodeId, NodeId>> pairs,
-      EdgeScore kind = EdgeScore::kCosine);
-
-  /// Non-blocking admission variants: return std::nullopt immediately
-  /// when the queue is full (or the server is draining) instead of
-  /// blocking or throwing — the shed path the network front-end answers
-  /// with OVERLOADED. The blocking calls above are unchanged.
-  std::optional<std::future<TopKResult>> try_topk(NodeId u, std::size_t k);
-  std::optional<std::future<ScoreResult>> try_score(
-      NodeId u, NodeId v, EdgeScore kind = EdgeScore::kCosine);
-  std::optional<std::future<TopKBatchResult>> try_topk_batch(
-      std::vector<NodeId> nodes, std::size_t k);
-  std::optional<std::future<ScoreBatchResult>> try_score_batch(
       std::vector<std::pair<NodeId, NodeId>> pairs,
       EdgeScore kind = EdgeScore::kCosine);
 
@@ -153,7 +179,7 @@ class EmbeddingServer {
   /// wait up to `timeout` for the queued + in-flight requests to be
   /// answered. Returns 0 once fully drained (workers joined), or the
   /// number of requests still pending when the timeout expired (workers
-  /// left running — every accepted promise is still fulfilled
+  /// left running — every accepted request's callback still runs
   /// eventually, and the destructor joins unboundedly).
   std::size_t drain_for(std::chrono::milliseconds timeout);
 
@@ -164,7 +190,8 @@ class EmbeddingServer {
   [[nodiscard]] std::uint64_t queries_served() const;
   /// Snapshot versions the server has built engines for.
   [[nodiscard]] std::uint64_t engine_rebuilds() const;
-  /// Percentile summary of request latency (enqueue -> response set).
+  /// Percentile summary of request latency (enqueue -> answer computed,
+  /// just before the callback runs).
   [[nodiscard]] LatencySummary latency() const;
   /// Requests queued but not yet picked up by a worker — the capacity-
   /// planning signal the net front-end exports as a gauge.
@@ -176,32 +203,25 @@ class EmbeddingServer {
   [[nodiscard]] std::uint64_t store_version() const;
 
  private:
-  enum class RequestType { kTopK, kScore, kTopKBatch, kScoreBatch };
   struct Request {
-    RequestType type = RequestType::kTopK;
-    NodeId u = 0;
-    NodeId v = 0;
-    std::size_t k = 10;
-    EdgeScore score_kind = EdgeScore::kCosine;
-    std::vector<NodeId> nodes;                        ///< kTopKBatch
-    std::vector<std::pair<NodeId, NodeId>> pairs;     ///< kScoreBatch
+    Query query;
+    AnswerCallback done;
     std::chrono::steady_clock::time_point enqueued{};
-    std::promise<TopKResult> topk_promise;
-    std::promise<ScoreResult> score_promise;
-    std::promise<TopKBatchResult> topk_batch_promise;
-    std::promise<ScoreBatchResult> score_batch_promise;
   };
 
   void worker_loop();
-  void answer(Request& req);
+  Answer answer(const Query& q);
   /// Push with blocking or shed semantics; updates admission metrics
   /// and the in-flight count. Returns false when shed (try_push failed
   /// or, in blocking mode, the queue closed).
   bool submit(Request&& req, bool blocking);
+  /// Blocking submission whose callback fulfils the returned future.
+  template <typename Result>
+  std::future<Result> submit_for_future(Query q);
   /// Current engine, rebuilt (by exactly one worker) when the store has
   /// published a newer version than the cached engine was built for.
   std::shared_ptr<const ShardedQueryEngine> engine();
-  void record(const Request& req, std::size_t weight);
+  void record(const Request& req);
 
   std::shared_ptr<const ShardedEmbeddingStore> store_;
   ServerConfig cfg_;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -575,6 +576,62 @@ TEST(NetServer, GracefulStopDrainsAndRefusesNewConnections) {
   EXPECT_FALSE(lb->server.running());
   EXPECT_THROW(Client("127.0.0.1", port), std::system_error);
   lb.reset();  // double-stop via destructor is a no-op
+}
+
+TEST(NetServer, RestartAfterStopServesAgain) {
+  Loopback lb;
+  const serve::TopKResult local = lb.engine.topk(3, 5).get();
+  {
+    Client client("127.0.0.1", lb.server.port());
+    EXPECT_EQ(client.topk(3, 5).status, Status::kOk);
+  }
+  EXPECT_EQ(lb.server.stop(), 0u);
+  lb.server.start();
+  EXPECT_TRUE(lb.server.running());
+  Client client("127.0.0.1", lb.server.port());
+  const Response wire = client.topk(3, 5);
+  ASSERT_EQ(wire.status, Status::kOk);
+  ASSERT_EQ(wire.neighbors.size(), local.neighbors.size());
+  for (std::size_t j = 0; j < local.neighbors.size(); ++j) {
+    EXPECT_EQ(wire.neighbors[j].node, local.neighbors[j].node);
+    EXPECT_EQ(wire.neighbors[j].score, local.neighbors[j].score);
+  }
+}
+
+TEST(NetServer, StopWithRequestsInFlightThenDestroy) {
+  // The engine belongs to the caller and outlives the front-end, so its
+  // workers answer requests after stop() gave up waiting and after
+  // ~Server. Those late callbacks must drop their bytes, not touch the
+  // destroyed server or its closed wake pipe (ASan/TSan legs).
+  serve::ServerConfig ecfg;
+  ecfg.threads = 1;
+  serve::EmbeddingServer engine(published_store(2000, 64), ecfg);
+  NetServerConfig ncfg;
+  ncfg.drain_timeout = std::chrono::milliseconds(1);
+  auto server = std::make_unique<Server>(engine, ncfg);
+  server->start();
+
+  Client client("127.0.0.1", server->port());
+  std::vector<NodeId> nodes(64);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nodes[i] = static_cast<NodeId>(i);
+  }
+  constexpr std::uint64_t kRequests = 50;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    client.send_topk_batch(nodes, 10);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server->requests_admitted() < kRequests &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server->requests_admitted(), kRequests);
+
+  EXPECT_GT(server->stop(), 0u);
+  server.reset();
+  engine.drain();  // runs the late callbacks against the closed outbox
+  EXPECT_EQ(engine.queries_served(), kRequests * nodes.size());
 }
 
 TEST(NetServer, ConcurrentClientsWithPublishesStayCoherent) {

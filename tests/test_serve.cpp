@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <exception>
 #include <future>
 #include <sstream>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "embedding/backend_registry.hpp"
@@ -424,26 +426,56 @@ TEST(EmbeddingServer, TrySubmissionShedsWhenQueueFull) {
   cfg.queue_capacity = 2;
   EmbeddingServer server(store, cfg);
 
-  // Flood far past the 2-slot queue: try_topk must return nullopt
-  // (shed) rather than block, and every accepted future must resolve.
-  std::vector<std::future<TopKResult>> accepted;
+  // Flood far past the 2-slot queue: try_submit must return false
+  // (shed) rather than block. Every accepted callback fires exactly
+  // once with the answer; a shed request's callback never fires.
+  constexpr int kRequests = 500;
+  std::vector<std::atomic<int>> calls(kRequests);
+  std::vector<std::atomic<std::uint64_t>> versions(kRequests);
+  std::vector<bool> accepted(kRequests, false);
   std::size_t shed = 0;
-  for (int i = 0; i < 500; ++i) {
-    auto fut = server.try_topk(static_cast<NodeId>(i % 600), 10);
-    if (fut) {
-      accepted.push_back(std::move(*fut));
-    } else {
-      ++shed;
-    }
+  for (int i = 0; i < kRequests; ++i) {
+    accepted[i] = server.try_submit(
+        TopKQuery{static_cast<NodeId>(i % 600), 10}, [&, i](Answer&& a) {
+          if (const auto* r = std::get_if<TopKResult>(&a)) {
+            versions[i].store(r->version);
+          }
+          calls[i].fetch_add(1);
+        });
+    if (!accepted[i]) ++shed;
   }
   EXPECT_GT(shed, 0u);
-  EXPECT_GT(accepted.size(), 0u);
-  for (auto& fut : accepted) EXPECT_EQ(fut.get().version, 1u);
+  EXPECT_GT(kRequests - shed, 0u);
+  server.drain();  // joins the worker: every accepted callback has run
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(calls[i].load(), accepted[i] ? 1 : 0) << "request " << i;
+    if (accepted[i]) {
+      EXPECT_EQ(versions[i].load(), 1u) << "request " << i;
+    }
+  }
 
-  // After drain, try_* sheds instead of throwing (unlike topk()).
-  server.drain();
-  EXPECT_FALSE(server.try_topk(0, 3).has_value());
-  EXPECT_FALSE(server.try_score(0, 1).has_value());
+  // After drain, try_submit sheds instead of throwing (unlike topk()).
+  std::atomic<int> late{0};
+  EXPECT_FALSE(server.try_submit(TopKQuery{0, 3},
+                                 [&](Answer&&) { late.fetch_add(1); }));
+  EXPECT_FALSE(server.try_submit(ScoreQuery{0, 1},
+                                 [&](Answer&&) { late.fetch_add(1); }));
+  EXPECT_EQ(late.load(), 0);
+}
+
+TEST(EmbeddingServer, CallbackReceivesErrorBeforeFirstPublish) {
+  auto store = std::make_shared<ShardedEmbeddingStore>();
+  EmbeddingServer server(store);
+  int calls = 0;
+  std::exception_ptr err;
+  ASSERT_TRUE(server.try_submit(ScoreQuery{0, 1}, [&](Answer&& a) {
+    ++calls;
+    if (const auto* e = std::get_if<std::exception_ptr>(&a)) err = *e;
+  }));
+  server.drain();  // the join orders the worker's writes before the reads
+  EXPECT_EQ(calls, 1);
+  ASSERT_NE(err, nullptr);
+  EXPECT_THROW(std::rethrow_exception(err), std::runtime_error);
 }
 
 TEST(EmbeddingServer, DrainForReportsLeftoverThenCompletes) {
@@ -465,7 +497,7 @@ TEST(EmbeddingServer, DrainForReportsLeftoverThenCompletes) {
   const std::size_t left = server.drain_for(std::chrono::milliseconds(0));
   EXPECT_GT(left, 0u);
   EXPECT_TRUE(server.draining());
-  // Every accepted promise is still fulfilled after the timeout path.
+  // Every accepted request is still answered after the timeout path.
   for (auto& fut : futures) EXPECT_EQ(fut.get().version, 1u);
   // A second bounded drain now finds nothing pending.
   EXPECT_EQ(server.drain_for(std::chrono::seconds(30)), 0u);
