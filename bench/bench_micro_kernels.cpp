@@ -8,9 +8,13 @@
 //           three models, the fixed-point core, and the dense matvec. These numbers feed
 //           the op-count audit in EXPERIMENTS.md.
 //   simd  — scalar reference vs dispatched float kernels (dot, axpy,
-//           scale, l2_norm, fused dot_topk_scan). GATES: dispatched dot
-//           and dot_topk_scan must be >= 2x the scalar reference at the
-//           serving dims (96) whenever a vector ISA is active.
+//           scale, l2_norm, fused dot_topk_scan), then per-query us of
+//           ShardedQueryEngine top-k on a 4-shard 50k x 32 store, one
+//           query at a time and in batches of 8 and 16. GATES:
+//           dispatched dot and dot_topk_scan must be >= 2x the scalar
+//           reference at the serving dims (96) whenever a vector ISA is
+//           active; at full scale a batch of 16 must cost <= 0.5x the
+//           single-query us per query.
 //   train — scalar reference vs dispatched *training* kernels at the
 //           training dims (96): matvec_transposed, rank1_update, the
 //           fused OS-ELM pair kernels (matvec_both, rank1_matvec), the
@@ -49,6 +53,7 @@
 #include "sampling/negative_sampler.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/quantized_store.hpp"
+#include "serve/sharded_query.hpp"
 #include "walk/node2vec_walker.hpp"
 
 namespace {
@@ -275,6 +280,55 @@ void simd_report(const std::string& kernel, std::size_t dims,
               scalar_ns / simd_ns);
 }
 
+struct EngineRow {
+  std::string name;
+  double us_per_query;
+};
+
+std::vector<EngineRow> g_engine;
+
+/// Per-query us of exact cosine top-10 through ShardedQueryEngine over
+/// the serve-static store shape (4 shards, 32 dims): single topk calls
+/// against topk_batch, which reads each row once per batch.
+void run_engine_topk(bool tiny, int passes) {
+  const std::size_t rows = tiny ? 2000 : 50000;
+  constexpr std::size_t kDims = 32, kTopK = 10, kPerOp = 16;
+  Rng rng(7);
+  MatrixF m(rows, kDims);
+  m.fill_uniform(rng, -1.0, 1.0);
+  serve::ShardedEmbeddingStore store(4);
+  store.publish(std::move(m));
+  const serve::ShardedQueryEngine engine(store);
+  std::vector<NodeId> queries(256);
+  for (NodeId& u : queries) u = static_cast<NodeId>(rng.bounded(rows));
+
+  std::printf("\n-- engine top-k: %zu x %zu, 4 shards, k=%zu --\n", rows,
+              kDims, kTopK);
+  double single_us = 0.0;
+  for (std::size_t b : {std::size_t{1}, std::size_t{8}, std::size_t{16}}) {
+    // One op answers kPerOp queries, so every row times the same work.
+    std::size_t next = 0;
+    const double ns = ns_per_op(2, [&] {
+      for (std::size_t i = 0; i < kPerOp; i += b) {
+        const std::span<const NodeId> nodes(queries.data() + next, b);
+        next = (next + b) % queries.size();
+        if (b == 1) {
+          keep(engine.topk(nodes[0], kTopK));
+        } else {
+          keep(engine.topk_batch(nodes, kTopK));
+        }
+      }
+    }, passes);
+    const double us = ns / 1e3 / static_cast<double>(kPerOp);
+    if (b == 1) single_us = us;
+    g_engine.push_back({"engine_topk/batch" + std::to_string(b), us});
+    std::printf("  %-20s %9.1f us/query\n", g_engine.back().name.c_str(),
+                us);
+  }
+  gate("engine_topk_batch16", 2.0, single_us / g_engine.back().us_per_query,
+       !tiny);
+}
+
 void run_simd_phase(std::size_t rows, int passes) {
   std::printf("\n-- simd: scalar vs %s float kernels (%zu rows/pass) --\n",
               simd::isa_name(), rows);
@@ -359,10 +413,13 @@ void run_simd_phase(std::size_t rows, int passes) {
     }, passes) / static_cast<double>(rows);
     const double vec_scan = ns_per_op(1, [&] {
       serve::TopKAccumulator top(10);
-      simd::dot_topk_scan(data.data(), rows, dims, q.data(),
-                          [&](std::size_t r, float s) {
-                            top.offer(static_cast<NodeId>(r), s);
-                          });
+      simd::dot_topk_scan(
+          data.data(), rows, dims, q.data(), 1,
+          [&](std::size_t, std::size_t base, std::span<const float> s) {
+            for (std::size_t i = 0; i < s.size(); ++i) {
+              top.offer(static_cast<NodeId>(base + i), s[i]);
+            }
+          });
       keep(top);
     }, passes) / static_cast<double>(rows);
     simd_report("dot_topk_scan", dims, sc_scan, vec_scan);
@@ -552,10 +609,13 @@ void run_int8_phase(std::size_t rows, int passes, bool tiny) {
 
   const double float_scan = ns_per_op(1, [&] {
     serve::TopKAccumulator top(k);
-    simd::dot_topk_scan(m.data(), rows, dims, q.data(),
-                        [&](std::size_t r, float s) {
-                          top.offer(static_cast<NodeId>(r), s);
-                        });
+    simd::dot_topk_scan(
+        m.data(), rows, dims, q.data(), 1,
+        [&](std::size_t, std::size_t base, std::span<const float> s) {
+          for (std::size_t i = 0; i < s.size(); ++i) {
+            top.offer(static_cast<NodeId>(base + i), s[i]);
+          }
+        });
     keep(top);
   }, passes) / static_cast<double>(rows);
 
@@ -625,7 +685,10 @@ int main(int argc, char** argv) {
   const int passes = tiny ? 3 : 7;
 
   if (phase == "all" || phase == "micro") run_micro_phase(scale_div);
-  if (phase == "all" || phase == "simd") run_simd_phase(scan_rows, passes);
+  if (phase == "all" || phase == "simd") {
+    run_simd_phase(scan_rows, passes);
+    run_engine_topk(tiny, passes);
+  }
   if (phase == "all" || phase == "train") {
     run_train_phase(scale_div, passes, tiny);
   }
@@ -662,6 +725,14 @@ int main(int argc, char** argv) {
       simd_arr.push(std::move(j));
     }
     root.set("simd", std::move(simd_arr));
+    Json engine_arr = Json::array();
+    for (const auto& r : g_engine) {
+      Json j = Json::object();
+      j.set("name", Json::str(r.name));
+      j.set("us_per_query", Json::num(r.us_per_query));
+      engine_arr.push(std::move(j));
+    }
+    root.set("engine_topk", std::move(engine_arr));
     Json train_arr = Json::array();
     for (const auto& r : g_train) {
       Json j = Json::object();

@@ -184,20 +184,26 @@ void dot_i8_batch(const std::int8_t* rows, std::size_t n, std::size_t dims,
 
 // --- fused scan --------------------------------------------------------------
 
-/// Fused rows-vs-query top-k scan: computes dot_batch block by block
-/// into a stack buffer and hands (row_index, score) to `offer` — the
-/// caller plugs in its TopKAccumulator (and its exclusion test) without
-/// this header depending on serve/. Scores are identical to a full
-/// dot_batch over [0, n).
+/// Fused rows-vs-queries top-k scan over `nq` queries (`qs`, nq x dims
+/// row-major): walks the rows in 128-row blocks and scores each block
+/// against every query with dot_batch while the block sits in L1, so
+/// the rows are read from memory once per batch, not once per query.
+/// Hands each (query_index, first_row, block_scores) to `offer` — the
+/// caller plugs in its TopKAccumulators (and exclusion tests) without
+/// this header depending on serve/. Each query sees the blocks in
+/// ascending row order, with scores identical to a full dot_batch over
+/// [0, n).
 template <typename Offer>
 void dot_topk_scan(const float* rows, std::size_t n, std::size_t dims,
-                   const float* q, Offer&& offer) {
+                   const float* qs, std::size_t nq, Offer&& offer) {
   constexpr std::size_t kBlock = 128;
   float scores[kBlock];
   for (std::size_t base = 0; base < n; base += kBlock) {
     const std::size_t count = n - base < kBlock ? n - base : kBlock;
-    dot_batch(rows + base * dims, count, dims, q, scores);
-    for (std::size_t i = 0; i < count; ++i) offer(base + i, scores[i]);
+    for (std::size_t j = 0; j < nq; ++j) {
+      dot_batch(rows + base * dims, count, dims, qs + j * dims, scores);
+      offer(j, base, std::span<const float>(scores, count));
+    }
   }
 }
 

@@ -203,13 +203,8 @@ Answer EmbeddingServer::answer(const Query& q) {
     return ScoreResult{eng->version(), eng->score(s->u, s->v, s->kind)};
   }
   if (const auto* tb = std::get_if<TopKBatchQuery>(&q)) {
-    TopKBatchResult res;
-    res.version = eng->version();
-    res.results.reserve(tb->nodes.size());
-    for (NodeId u : tb->nodes) {
-      res.results.push_back(eng->topk(u, tb->k, cfg_.similarity));
-    }
-    return res;
+    return TopKBatchResult{eng->version(),
+                           eng->topk_batch(tb->nodes, tb->k, cfg_.similarity)};
   }
   const auto& sb = std::get<ScoreBatchQuery>(q);
   ScoreBatchResult res;

@@ -80,9 +80,10 @@ struct ScoreResult {
 /// Answer to a batched top-k request: one neighbor list per requested
 /// node, all answered against the same snapshot version. Batches take
 /// one queue slot and one worker wake-up however many nodes they carry,
-/// which is what makes them the coalescing target for the network
-/// front-end (src/net/server.cpp merges concurrent small wire requests
-/// into these).
+/// and exact cosine batches one pass over the rows
+/// (ShardedQueryEngine::topk_batch), which is what makes them the
+/// coalescing target for the network front-end (src/net/server.cpp
+/// merges concurrent small wire requests into these).
 struct TopKBatchResult {
   std::uint64_t version = 0;
   std::vector<std::vector<Neighbor>> results;  ///< one entry per node

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -55,6 +56,15 @@ class TopKAccumulator {
       heap_.back() = {node, score};
       std::push_heap(heap_.begin(), heap_.end(), worse);
     }
+  }
+
+  /// A score s <= cutoff() cannot enter, so offer(node, s) would be a
+  /// no-op: scans test it first and skip the call. NaN (nothing is
+  /// skipped) while the heap is empty or not yet full.
+  [[nodiscard]] float cutoff() const noexcept {
+    return heap_.empty() || heap_.size() < k_
+               ? std::numeric_limits<float>::quiet_NaN()
+               : heap_.front().score;
   }
 
   /// Best first; ties broken by node id for deterministic output.

@@ -151,23 +151,44 @@ class ShardedQueryEngine::Shard {
     return snap_->row(local);
   }
 
-  /// Exact scan of every row (local order == ascending global id),
-  /// offering global node ids — the fan-out half of the exact path.
-  void scan_exact(std::span<const float> q, Similarity sim,
-                  NodeId exclude_global, TopKAccumulator& top) const {
+  /// Exact cosine scan of every row (local order == ascending global
+  /// id) for tops.size() unit queries (`qs`, row-major), offering
+  /// global node ids: query j skips exclude[j] and fills tops[j]. One
+  /// pass over the rows serves the whole batch.
+  void scan_exact(const float* qs, std::span<const NodeId> exclude,
+                  std::span<TopKAccumulator> tops) const {
+    // Loop invariants copied into the row callback (see scan_quant).
     const NodeId begin = snap_->row_begin;
-    if (sim == Similarity::kCosine) {
-      for (std::size_t r = 0; r < normalized_.rows(); ++r) {
-        const NodeId node = begin + static_cast<NodeId>(r);
-        if (node == exclude_global || snap_->tombstoned(r)) continue;
-        top.offer(node, dot<float>(normalized_.row(r), q));
-      }
-    } else {
-      for (std::size_t r = 0; r < num_rows(); ++r) {
-        const NodeId node = begin + static_cast<NodeId>(r);
-        if (node == exclude_global || snap_->tombstoned(r)) continue;
-        top.offer(node, dot<float>(snap_->row(r), q));
-      }
+    const std::uint8_t* dead = snap_->dead.empty() ? nullptr
+                                                   : snap_->dead.data();
+    simd::dot_topk_scan(
+        normalized_.data(), normalized_.rows(), normalized_.cols(), qs,
+        tops.size(),
+        [begin, dead, exclude, tops](std::size_t j, std::size_t base,
+                                     std::span<const float> scores) {
+          TopKAccumulator& top = tops[j];
+          const NodeId skip = exclude[j];
+          float cutoff = top.cutoff();
+          for (std::size_t i = 0; i < scores.size(); ++i) {
+            if (scores[i] <= cutoff) continue;  // offer would drop it
+            const std::size_t r = base + i;
+            const NodeId node = begin + static_cast<NodeId>(r);
+            if (node == skip || (dead != nullptr && dead[r] != 0)) continue;
+            top.offer(node, scores[i]);
+            cutoff = top.cutoff();
+          }
+        });
+  }
+
+  /// Exact dot-similarity scan of the raw rows, which a delta chain
+  /// leaves scattered, so one row at a time.
+  void scan_dot(std::span<const float> q, NodeId exclude_global,
+                TopKAccumulator& top) const {
+    const NodeId begin = snap_->row_begin;
+    for (std::size_t r = 0; r < num_rows(); ++r) {
+      const NodeId node = begin + static_cast<NodeId>(r);
+      if (node == exclude_global || snap_->tombstoned(r)) continue;
+      top.offer(node, dot<float>(snap_->row(r), q));
     }
   }
 
@@ -184,7 +205,7 @@ class ShardedQueryEngine::Shard {
   void scan_ivf(std::span<const float> unit_q, std::size_t nprobe,
                 NodeId exclude_global, TopKAccumulator& top) const {
     if (probes(nprobe) == 0) {
-      scan_exact(unit_q, Similarity::kCosine, exclude_global, top);
+      scan_exact(unit_q.data(), {&exclude_global, 1}, {&top, 1});
       return;
     }
     const NodeId begin = snap_->row_begin;
@@ -353,6 +374,53 @@ std::span<const float> ShardedQueryEngine::embedding_row(NodeId u) const {
   return shards_[s]->raw_row(u - shards_[s]->row_begin());
 }
 
+template <typename Scan>
+std::vector<TopKAccumulator> ShardedQueryEngine::sweep(
+    std::size_t nq, std::size_t acc_k, const Scan& scan) const {
+  const auto accumulators = [nq, acc_k] {
+    std::vector<TopKAccumulator> tops;
+    tops.reserve(nq);
+    for (std::size_t j = 0; j < nq; ++j) tops.emplace_back(acc_k);
+    return tops;
+  };
+  std::vector<TopKAccumulator> merged = accumulators();
+  // The scan_fanout span covers the whole shard sweep — threaded or
+  // sequential — so every sharded engine shows up in the span table.
+  OBS_SPAN("scan_fanout");
+  if (pool_ != nullptr && shards_.size() > 1) {
+    // Fan out: each shard fills its own accumulators, then the
+    // per-shard winners merge in shard order. Shards cover ascending
+    // node ranges and take() sorts ties by ascending node, so
+    // equal-score arrivals reach `merged` in ascending node order —
+    // exactly the sequential scan's arrival order, hence bit-identical
+    // results.
+    std::vector<std::vector<std::vector<Neighbor>>> locals(shards_.size());
+    pool_->parallel_for(shards_.size(), [&](std::size_t s) {
+      const bool timed = obs::enabled();
+      const double t0 = timed ? obs::wall_us() : 0.0;
+      std::vector<TopKAccumulator> local = accumulators();
+      scan(*shards_[s], std::span<TopKAccumulator>(local));
+      for (TopKAccumulator& top : local) locals[s].push_back(top.take());
+      if (timed) shard_scan_us()->observe(obs::wall_us() - t0);
+    });
+    for (const auto& shard_local : locals) {
+      for (std::size_t j = 0; j < nq; ++j) {
+        for (const Neighbor& n : shard_local[j]) {
+          merged[j].offer(n.node, n.score);
+        }
+      }
+    }
+  } else {
+    const bool timed = obs::enabled();
+    for (const auto& shard : shards_) {
+      const double t0 = timed ? obs::wall_us() : 0.0;
+      scan(*shard, std::span<TopKAccumulator>(merged));
+      if (timed) shard_scan_us()->observe(obs::wall_us() - t0);
+    }
+  }
+  return merged;
+}
+
 std::vector<Neighbor> ShardedQueryEngine::topk(
     std::span<const float> query, std::size_t k, Similarity sim,
     NodeId exclude, std::size_t nprobe_override) const {
@@ -397,49 +465,21 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
         q, {cfg_.index.quant_block, cfg_.index.quant_pow2,
             cfg_.index.quant == QuantMode::kBfp});
   }
-  const auto scan_shard = [&](const Shard& shard, TopKAccumulator& top) {
-    if (use_quant) {
-      shard.scan_quant(q, qq, use_ivf ? nprobe : 0, exclude, top);
-    } else if (use_ivf) {
-      shard.scan_ivf(q, nprobe, exclude, top);
-    } else {
-      shard.scan_exact(q, sim, exclude, top);
-    }
-  };
-
-  TopKAccumulator merged(acc_k);
-  {
-    // The scan_fanout span covers the whole shard sweep — threaded or
-    // sequential — so every sharded engine shows up in the span table.
-    OBS_SPAN("scan_fanout");
-    if (pool_ != nullptr && shards_.size() > 1) {
-      // Fan out: each shard fills its own accumulator, then the
-      // per-shard winners merge in shard order. Shards cover ascending
-      // node ranges and take() sorts ties by ascending node, so
-      // equal-score arrivals reach `merged` in ascending node order —
-      // exactly the sequential scan's arrival order, hence bit-
-      // identical results.
-      std::vector<std::vector<Neighbor>> locals(shards_.size());
-      pool_->parallel_for(shards_.size(), [&](std::size_t s) {
-        const bool timed = obs::enabled();
-        const double t0 = timed ? obs::wall_us() : 0.0;
-        TopKAccumulator local(acc_k);
-        scan_shard(*shards_[s], local);
-        locals[s] = local.take();
-        if (timed) shard_scan_us()->observe(obs::wall_us() - t0);
-      });
-      for (const auto& local : locals) {
-        for (const Neighbor& n : local) merged.offer(n.node, n.score);
-      }
-    } else {
-      const bool timed = obs::enabled();
-      for (const auto& shard : shards_) {
-        const double t0 = timed ? obs::wall_us() : 0.0;
-        scan_shard(*shard, merged);
-        if (timed) shard_scan_us()->observe(obs::wall_us() - t0);
-      }
-    }
-  }
+  TopKAccumulator merged = std::move(
+      sweep(1, acc_k,
+            [&](const Shard& shard, std::span<TopKAccumulator> tops) {
+              if (use_quant) {
+                shard.scan_quant(q, qq, use_ivf ? nprobe : 0, exclude,
+                                 tops[0]);
+              } else if (use_ivf) {
+                shard.scan_ivf(q, nprobe, exclude, tops[0]);
+              } else if (sim == Similarity::kCosine) {
+                shard.scan_exact(q.data(), {&exclude, 1}, tops);
+              } else {
+                shard.scan_dot(q, exclude, tops[0]);
+              }
+            })
+          .front());
   if (!use_quant) return merged.take();
 
   // Float re-rank of the quantized candidates, offered in ascending
@@ -487,6 +527,33 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
   // Route through the raw row: the span overload re-normalizes for
   // cosine, which keeps one scan path for node and vector queries.
   return topk(embedding_row(u), k, sim, u, nprobe_override);
+}
+
+std::vector<std::vector<Neighbor>> ShardedQueryEngine::topk_batch(
+    std::span<const NodeId> nodes, std::size_t k, Similarity sim) const {
+  for (NodeId u : nodes) (void)embedding_row(u);  // throws before any scan
+  std::vector<std::vector<Neighbor>> out;
+  out.reserve(nodes.size());
+  if (sim != Similarity::kCosine ||
+      cfg_.index.kind == IndexConfig::Kind::kIvf ||
+      cfg_.index.quant != QuantMode::kNone || nodes.empty()) {
+    for (NodeId u : nodes) out.push_back(topk(u, k, sim));
+    return out;
+  }
+  query_metrics().scans->add(nodes.size());
+  // Each query normalized exactly as topk's span overload does it.
+  MatrixF unit(nodes.size(), dims_);
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    const auto row = embedding_row(nodes[j]);
+    std::copy(row.begin(), row.end(), unit.row(j).begin());
+    l2_normalize(unit.row(j));
+  }
+  auto tops = sweep(nodes.size(), std::min(k, num_nodes()),
+                    [&](const Shard& shard, std::span<TopKAccumulator> t) {
+                      shard.scan_exact(unit.data(), nodes, t);
+                    });
+  for (TopKAccumulator& top : tops) out.push_back(top.take());
+  return out;
 }
 
 double ShardedQueryEngine::score(NodeId u, NodeId v, EdgeScore kind) const {

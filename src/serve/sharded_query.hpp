@@ -8,6 +8,10 @@
 // kernel, normalization, and accumulator, so results — neighbors,
 // scores, tie-breaks — are identical for any shard count and to a
 // brute-force scan over the same embedding values (tests assert this).
+// Exact cosine queries batch: topk_batch walks each shard's rows once
+// in 128-row blocks and scores every block against all of its queries
+// while the block sits in L1 (simd::dot_topk_scan); a single topk is a
+// batch of one through the same scan.
 //
 // IVF path: each shard carries its own coarse quantizer sized to the
 // shard (nlist = 0 -> ~sqrt(shard rows)) and keeps its normalized rows
@@ -125,6 +129,15 @@ class ShardedQueryEngine final {
       Similarity sim = Similarity::kCosine, NodeId exclude = ~NodeId{0},
       std::size_t nprobe_override = 0) const;
 
+  /// topk(nodes[i], k, sim) for every i, answers in input order and
+  /// each `==` to the single-node call. Exact cosine queries share one
+  /// pass over the rows; IVF, quantized and dot-similarity queries run
+  /// one at a time. Every node is range-checked before any scan, so an
+  /// out-of-range id throws std::invalid_argument with no partial answer.
+  [[nodiscard]] std::vector<std::vector<Neighbor>> topk_batch(
+      std::span<const NodeId> nodes, std::size_t k,
+      Similarity sim = Similarity::kCosine) const;
+
   /// Link-prediction score of candidate edge (u, v), bit-identical to
   /// eval/link_prediction.hpp's score_edge on the same embedding.
   [[nodiscard]] double score(NodeId u, NodeId v,
@@ -132,6 +145,13 @@ class ShardedQueryEngine final {
 
  private:
   class Shard;
+
+  /// Runs scan(shard, tops) over every shard for `nq` queries, one
+  /// acc_k-slot accumulator each, and returns them merged across shards
+  /// with rows arriving in ascending node order (see the .cpp).
+  template <typename Scan>
+  std::vector<TopKAccumulator> sweep(std::size_t nq, std::size_t acc_k,
+                                     const Scan& scan) const;
 
   ShardedIndexConfig cfg_;
   std::uint64_t version_ = 0;

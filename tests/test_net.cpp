@@ -388,6 +388,27 @@ TEST(NetServer, BatchRequestsMatchInProcess) {
   EXPECT_EQ(swire.scores, slocal.scores);
 }
 
+// One out-of-range node fails the whole wire batch with kError and no
+// partial answer; the connection stays usable, and an empty batch is a
+// valid request with an empty answer.
+TEST(NetServer, TopKBatchWithOutOfRangeNodeIsAnErrorWithNoPartialAnswer) {
+  Loopback lb;  // 64 nodes
+  Client client("127.0.0.1", lb.server.port());
+
+  const std::vector<NodeId> bad{1, 2, 64, 3};
+  const Response err = client.topk_batch(bad, 5);
+  EXPECT_EQ(err.status, Status::kError);
+  EXPECT_TRUE(err.batch.empty());
+
+  const Response next = client.topk(1, 5);
+  ASSERT_EQ(next.status, Status::kOk);
+  EXPECT_EQ(next.neighbors.size(), 5u);
+
+  const Response empty = client.topk_batch({}, 5);
+  EXPECT_EQ(empty.status, Status::kOk);
+  EXPECT_TRUE(empty.batch.empty());
+}
+
 TEST(NetServer, PipelinedResponsesMatchedByCorrelationId) {
   Loopback lb;
   Client client("127.0.0.1", lb.server.port());

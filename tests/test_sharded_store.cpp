@@ -748,6 +748,107 @@ TEST(ShardedQueryEngine, IvfInt8QueryMovesProbeAndQuantCounters) {
   EXPECT_GT(value("seqge_query_quant_corrections_total"), fixes);
 }
 
+void expect_same(const std::vector<Neighbor>& got,
+                 const std::vector<Neighbor>& expect) {
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(got[i].node, expect[i].node) << "rank " << i;
+    EXPECT_EQ(got[i].score, expect[i].score) << "rank " << i;  // ==
+  }
+}
+
+TEST(ShardedQueryEngine, TopKBatchIsBitIdenticalToSingleQueries) {
+  const obs::EnabledGuard on(true);
+  const auto scans_total = [] {
+    const obs::Counter* c =
+        obs::Registry::global().find_counter("seqge_query_scans_total");
+    return c != nullptr ? c->value() : 0;
+  };
+  constexpr std::size_t kRows = 300;  // one shard crosses 128-row blocks
+  const std::vector<NodeId> dead = {4, 150, 299};
+  std::vector<std::uint8_t> dead_mask(kRows, 0);
+  for (NodeId d : dead) dead_mask[d] = 1;
+  // Duplicates (7 twice), a tombstoned query node (150), both ends.
+  const std::vector<NodeId> pool = {7,  0,   299, 150, 7,  31,  64, 127,
+                                    128, 129, 200, 17,  90, 255, 3,  42, 7};
+
+  for (std::size_t dims : {13u, 32u, 33u}) {
+    MatrixF m = random_matrix(kRows, dims, 60 + dims);
+    // Equal-score groups inside and across shards: ties are decided by
+    // ascending node id alone.
+    for (std::size_t r = 0; r + 150 < kRows; r += 3) {
+      std::copy(m.row(r).begin(), m.row(r).end(), m.row(r + 150).begin());
+    }
+    for (std::size_t num_shards : {1u, 3u, 4u}) {
+      ShardedEmbeddingStore store(num_shards);
+      store.publish(MatrixF(m));
+      store.publish_tombstones(dead);
+      for (std::size_t threads : {0u, 2u}) {
+        ShardedIndexConfig cfg;
+        cfg.scan_threads = threads;
+        const ShardedQueryEngine engine(store, cfg);
+        for (std::size_t b : {1u, 2u, 7u, 16u, 17u}) {
+          const std::span<const NodeId> nodes(pool.data(), b);
+          for (std::size_t k : {std::size_t{10}, std::size_t{0},
+                                kRows + 5}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "dims=" << dims << " shards=" << num_shards
+                         << " threads=" << threads << " b=" << b
+                         << " k=" << k);
+            const std::uint64_t before = scans_total();
+            const auto got = engine.topk_batch(nodes, k);
+            EXPECT_EQ(scans_total() - before, b);
+            ASSERT_EQ(got.size(), b);
+            for (std::size_t j = 0; j < b; ++j) {
+              expect_same(got[j], engine.topk(nodes[j], k));
+              expect_same(got[j], brute_force_topk(m, nodes[j], k,
+                                                   Similarity::kCosine,
+                                                   dead_mask));
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // IVF, int8 and dot-similarity batches take the per-query path; the
+  // answers are still the single-query ones.
+  const MatrixF m = clustered_matrix(400, 16, 8, 71);
+  ShardedEmbeddingStore store(3);
+  store.publish(MatrixF(m));
+  const std::span<const NodeId> nodes(pool.data(), 7);
+  ShardedIndexConfig ivf;
+  ivf.index.kind = IndexConfig::Kind::kIvf;
+  ivf.index.nprobe = 2;
+  ShardedIndexConfig int8;
+  int8.index.quant = QuantMode::kInt8;
+  for (const ShardedIndexConfig& cfg : {ivf, int8, ShardedIndexConfig{}}) {
+    const ShardedQueryEngine engine(store, cfg);
+    const Similarity sim = cfg.index.kind == IndexConfig::Kind::kIvf ||
+                                   cfg.index.quant != QuantMode::kNone
+                               ? Similarity::kCosine
+                               : Similarity::kDot;
+    const std::uint64_t before = scans_total();
+    const auto got = engine.topk_batch(nodes, 10, sim);
+    EXPECT_EQ(scans_total() - before, nodes.size());
+    ASSERT_EQ(got.size(), nodes.size());
+    for (std::size_t j = 0; j < nodes.size(); ++j) {
+      expect_same(got[j], engine.topk(nodes[j], 10, sim));
+      if (sim == Similarity::kDot) {
+        expect_same(got[j], brute_force_topk(m, nodes[j], 10, sim));
+      }
+    }
+  }
+
+  // An out-of-range node fails the whole batch before any scan.
+  const ShardedQueryEngine engine(store);
+  const std::vector<NodeId> bad = {1, 2, 400};
+  const std::uint64_t before = scans_total();
+  EXPECT_THROW((void)engine.topk_batch(bad, 5), std::invalid_argument);
+  EXPECT_EQ(scans_total(), before);
+  EXPECT_TRUE(engine.topk_batch({}, 5).empty());
+}
+
 // --- EmbeddingServer over a sharded store ---------------------------------
 
 TEST(EmbeddingServerSharded, AnswersMatchDirectEngineAcrossVersions) {

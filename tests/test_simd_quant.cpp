@@ -113,11 +113,12 @@ TEST(SimdFloat, L2NormKeepsDoublePrecisionAccumulation) {
 TEST(SimdFloat, DotBatchIsBitIdenticalToPerRowDot) {
   // The canonical per-row accumulation order contract: whatever
   // cross-row blocking dot_batch uses, each row's score must equal a
-  // 1-row dot() call bit-for-bit. Cover every remainder of the 4-row
+  // 1-row dot() call bit-for-bit. Cover every remainder of the 8-row
   // blocking and odd dims.
   Rng rng(4);
-  for (std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 130u}) {
-    for (std::size_t dims : {1u, 7u, 8u, 17u, 96u}) {
+  for (std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 13u, 16u,
+                        23u, 130u}) {
+    for (std::size_t dims : {1u, 7u, 8u, 17u, 32u, 33u, 96u}) {
       const auto rows = random_vec(n * dims, rng);
       const auto q = random_vec(dims, rng);
       std::vector<float> scores(n, 0.0f);
@@ -135,18 +136,29 @@ TEST(SimdFloat, DotTopkScanOffersEveryRowWithBatchScores) {
   const std::size_t n = 300;  // crosses the 128-row scan block twice
   const std::size_t dims = 17;
   const auto rows = random_vec(n * dims, rng);
-  const auto q = random_vec(dims, rng);
-  std::vector<float> expect(n, 0.0f);
-  simd::dot_batch(rows.data(), n, dims, q.data(), expect.data());
+  for (std::size_t nq : {1u, 3u}) {
+    const auto qs = random_vec(nq * dims, rng);
+    std::vector<float> expect(nq * n, 0.0f);
+    for (std::size_t j = 0; j < nq; ++j) {
+      simd::dot_batch(rows.data(), n, dims, qs.data() + j * dims,
+                      expect.data() + j * n);
+    }
 
-  std::size_t offered = 0;
-  simd::dot_topk_scan(rows.data(), n, dims, q.data(),
-                      [&](std::size_t r, float s) {
-                        EXPECT_EQ(r, offered);  // row order
-                        EXPECT_EQ(s, expect[r]);
-                        ++offered;
-                      });
-  EXPECT_EQ(offered, n);
+    // Every query sees every row once, in ascending order, with the
+    // scores a full dot_batch over that query gives.
+    std::vector<std::size_t> offered(nq, 0);
+    simd::dot_topk_scan(
+        rows.data(), n, dims, qs.data(), nq,
+        [&](std::size_t j, std::size_t base, std::span<const float> s) {
+          ASSERT_LT(j, nq);
+          EXPECT_EQ(base, offered[j]);  // row order
+          for (std::size_t i = 0; i < s.size(); ++i) {
+            EXPECT_EQ(s[i], expect[j * n + base + i]);
+          }
+          offered[j] += s.size();
+        });
+    for (std::size_t j = 0; j < nq; ++j) EXPECT_EQ(offered[j], n);
+  }
 }
 
 // --- fused training kernels (PR 9) -----------------------------------------
