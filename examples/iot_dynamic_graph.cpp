@@ -3,14 +3,16 @@
 // and keeps its embedding current with sequential training — no batch
 // retraining. This example streams the edges of a dataset twin into a
 // spanning forest, trains the proposed OS-ELM model after every
-// insertion (a random walk from each endpoint, exactly the "seq"
-// protocol), and reports micro-F1 checkpoints so you can watch the
-// embedding stay usable while the graph changes, plus what the FPGA
-// accelerator's simulated latency budget would be for the same stream.
+// insertion (StreamTrainer::insert: a random walk from each endpoint,
+// exactly the "seq" protocol), and reports micro-F1 checkpoints so you
+// can watch the embedding stay usable while the graph changes, plus
+// what the FPGA accelerator's simulated latency budget would be for the
+// same stream.
 //
 //   ./examples/iot_dynamic_graph [--dataset cora] [--scale 0.3]
 //                                [--dims 32] [--checkpoints 6]
 
+#include <algorithm>
 #include <cstdio>
 
 #include "embedding/backend_registry.hpp"
@@ -18,13 +20,11 @@
 #include "eval/node_classification.hpp"
 #include "fpga/perf_model.hpp"
 #include "graph/datasets.hpp"
-#include "graph/dynamic_graph.hpp"
+#include "graph/sliding_window.hpp"
 #include "graph/spanning_forest.hpp"
 #include "obs/export.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "walk/corpus.hpp"
-#include "walk/node2vec_walker.hpp"
 
 using namespace seqge;
 
@@ -61,10 +61,13 @@ int main(int argc, char** argv) {
   Rng rng(cfg.seed);
   auto model = make_backend(model_name, data.graph.num_nodes(), cfg, rng);
 
-  // Forest start, as in Sec. 4.3.2.
+  // Forest start, as in Sec. 4.3.2, in a window with no horizon: the
+  // device keeps every link it has seen.
   ForestSplit split = split_spanning_forest(data.graph, rng);
-  DynamicGraph dyn(data.graph.num_nodes());
-  for (const Edge& e : split.forest_edges) dyn.add_edge(e.src, e.dst, e.weight);
+  SlidingWindowGraph window(data.graph.num_nodes());
+  for (const Edge& e : split.forest_edges) {
+    window.add_edge(e.src, e.dst, e.weight, 0);
+  }
   std::printf("initial forest: %zu edges; %zu edges to stream\n\n",
               split.forest_edges.size(), split.removed_edges.size());
 
@@ -75,41 +78,30 @@ int main(int argc, char** argv) {
   };
 
   // Initial training on the forest.
-  {
-    WalkCorpus corpus = generate_corpus(dyn, cfg.walk, cfg.walks_per_node, rng);
-    NegativeSampler sampler(corpus.frequency);
-    for (const auto& walk : corpus.walks) {
-      model->train_walk(walk, cfg.walk.window, sampler,
-                        cfg.negative_samples, cfg.negative_mode, rng);
-    }
-  }
+  train_all(*model, window.to_graph(), cfg, rng);
   std::printf("after forest training: micro-F1 = %.3f\n", evaluate());
 
-  // Stream the removed edges, checkpointing accuracy.
+  // Stream the removed edges through the online update (two endpoint
+  // walks, one training step per edge), checkpointing accuracy.
+  StreamConfig scfg;
+  scfg.train = cfg;
+  StreamTrainer stream(*model, window, scfg, rng);
   Table table({"edges inserted", "graph edges", "micro-F1"});
-  Node2VecWalker<DynamicGraph> walker(dyn, cfg.walk);
-  NegativeSampler sampler = NegativeSampler::from_degrees(dyn);
-  std::vector<std::uint64_t> freq(data.graph.num_nodes(), 0);
-  std::vector<NodeId> walk;
-
   const std::size_t total = split.removed_edges.size();
-  const std::size_t per_chunk =
-      std::max<std::size_t>(1, total / static_cast<std::size_t>(checkpoints));
+  const auto chunks =
+      static_cast<std::size_t>(std::max<std::int64_t>(1, checkpoints));
+  const std::size_t per_chunk = std::max<std::size_t>(1, total / chunks);
   std::size_t inserted = 0;
   for (std::size_t i = 0; i < total; ++i) {
     const Edge& e = split.removed_edges[i];
-    if (!dyn.add_edge(e.src, e.dst, e.weight)) continue;
-    ++inserted;
-    for (NodeId endpoint : {e.src, e.dst}) {
-      walker.walk_into(rng, endpoint, walk);
-      for (NodeId v : walk) ++freq[v];
-      model->train_walk(walk, cfg.walk.window, sampler,
-                        cfg.negative_samples, cfg.negative_mode, rng);
+    if (stream.insert(e.src, e.dst, e.weight) ==
+        SlidingWindowGraph::kInvalidToken) {
+      continue;
     }
-    if (inserted % 256 == 0) sampler = NegativeSampler(freq);
+    ++inserted;
     if (inserted % per_chunk == 0 || i + 1 == total) {
       table.add_row({std::to_string(inserted),
-                     std::to_string(dyn.num_edges()),
+                     std::to_string(window.num_edges()),
                      Table::fmt(evaluate())});
     }
   }

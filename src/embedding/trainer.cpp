@@ -27,7 +27,6 @@ struct TrainMetrics {
   obs::Counter* walks;
   obs::Counter* batches;
   obs::Counter* contexts;
-  obs::Counter* sampler_rebuilds;
   obs::Counter* snapshots_published;
 };
 
@@ -39,20 +38,20 @@ TrainMetrics& train_metrics() {
                                       "Walk batches trained"),
       obs::Registry::global().counter("seqge_train_contexts_total", {},
                                       "Context pairs trained"),
-      obs::Registry::global().counter("seqge_train_sampler_rebuilds_total", {},
-                                      "Negative-sampler rebuilds"),
       obs::Registry::global().counter("seqge_train_snapshots_published_total",
                                       {}, "Snapshot/delta publications"),
   };
   return m;
 }
 
-/// Registry mirrors of the StreamStats deletion-side fields.
+/// Registry mirrors of the StreamStats deletion-side fields, plus the
+/// memory the unlearning records hold.
 struct DeletionMetrics {
   obs::Counter* edges;
   obs::Counter* unlearn_walks;
   obs::Counter* fallback_retrains;
   obs::Counter* tombstones;
+  obs::Gauge* records_bytes;
 };
 
 DeletionMetrics& deletion_metrics() {
@@ -68,6 +67,9 @@ DeletionMetrics& deletion_metrics() {
       obs::Registry::global().counter(
           "seqge_tombstones_total", {},
           "Nodes tombstoned (isolated by deletions)"),
+      obs::Registry::global().gauge(
+          "seqge_stream_unlearn_records_bytes", {},
+          "Bytes of training records held for exact unlearning"),
   };
   return m;
 }
@@ -327,6 +329,40 @@ void run_batched(EmbeddingModel& model, const BatchSource& src,
   }
 }
 
+/// train_sequential's whole-run counters: the forest phase's plus the
+/// insertion stream's so far (StreamTrainer does not time itself).
+TrainStats run_stats(TrainStats run, const TrainStats& stream) {
+  run.num_walks += stream.num_walks;
+  run.num_contexts += stream.num_contexts;
+  run.num_batches += stream.num_batches;
+  run.snapshots_published += stream.snapshots_published;
+  if (stream.num_batches != 0) run.last_loss = stream.last_loss;
+  return run;
+}
+
+/// The caller's sink as train_sequential's insertion stream sees it.
+/// Publications carry whole-run counters, and on_tombstone is dropped:
+/// the stream never deletes, so StreamTrainer::flush would only
+/// republish the empty dead set — a sink version that changes nothing.
+class InsertionStreamSink final : public SnapshotSink {
+ public:
+  InsertionStreamSink(SnapshotSink& inner, const TrainStats& forest)
+      : inner_(inner), forest_(forest) {}
+
+  void on_snapshot(const EmbeddingModel& model,
+                   const TrainStats& stats) override {
+    inner_.on_snapshot(model, run_stats(forest_, stats));
+  }
+  void on_delta(const EmbeddingModel& model, const TrainStats& stats,
+                std::span<const NodeId> touched_rows) override {
+    inner_.on_delta(model, run_stats(forest_, stats), touched_rows);
+  }
+
+ private:
+  SnapshotSink& inner_;
+  const TrainStats& forest_;
+};
+
 }  // namespace
 
 TrainStats train_all(EmbeddingModel& model, const Graph& graph,
@@ -379,125 +415,54 @@ SequentialResult train_sequential(EmbeddingModel& model,
   cfg.train.validate();
   cfg.pipeline.validate();
   SequentialResult result;
-  TrainStats& stats = result.stats;
 
-  // Phase 0: split into spanning forest + insertion stream.
+  // Phase 0: split into spanning forest + insertion stream. The window
+  // has no horizon (max_age = max_edges = 0), so nothing ever expires.
   ForestSplit split = split_spanning_forest(full_graph, rng);
   result.forest_edges = split.forest_edges.size();
   result.removed_edges = split.removed_edges.size();
+  SlidingWindowGraph window(full_graph.num_nodes());
+  for (const Edge& e : split.forest_edges) {
+    window.add_edge(e.src, e.dst, e.weight, 0);
+  }
 
-  DynamicGraph dyn(full_graph.num_nodes());
-  for (const Edge& e : split.forest_edges) dyn.add_edge(e.src, e.dst, e.weight);
+  // Phase 1: one epoch over the forest through train_all's pipelined
+  // engine. Its final publication is the phase boundary: the sink holds
+  // every row phase 1 touched before the first insertion.
+  TrainConfig forest_cfg = cfg.train;
+  forest_cfg.epochs = 1;
+  if (cfg.initial_walks_per_node != 0) {
+    forest_cfg.walks_per_node = cfg.initial_walks_per_node;
+  }
+  const TrainStats forest =
+      train_all(model, window.to_graph(), forest_cfg, rng, cfg.pipeline);
 
-  const std::uint64_t base_seed = rng.next();
+  // Phase 2: stream the removed edges back in, one StreamTrainer::insert
+  // each — a walk from both endpoints of the new edge, then one
+  // train_batch (Sec. 4.3.2).
+  std::optional<InsertionStreamSink> sink;
+  if (cfg.pipeline.snapshot_sink != nullptr) {
+    sink.emplace(*cfg.pipeline.snapshot_sink, forest);
+  }
+  StreamConfig scfg;
+  scfg.train = cfg.train;
+  scfg.sink = sink ? &*sink : nullptr;
+  scfg.publish_every = cfg.snapshot_every_insertions;
+  StreamTrainer stream(model, window, scfg, rng);
 
-  // One dispatcher across both phases: the dirty-row set carries over
-  // the phase boundary, so the first phase-2 publication still covers
-  // everything phase 1 touched since the last cadence publish.
-  SnapshotDispatcher snapshots(cfg.pipeline.snapshot_sink,
-                               model.num_nodes(),
-                               cfg.train.negative_samples);
-
-  // Phase 1: initial training on the forest, through the same pipelined
-  // engine as train_all.
-  const std::size_t init_r = cfg.initial_walks_per_node != 0
-                                 ? cfg.initial_walks_per_node
-                                 : cfg.train.walks_per_node;
   WallTimer timer;
-  WalkCorpus corpus = [&] {
-    OBS_SPAN("walk_gen");
-    return generate_corpus_pipelined(dyn, cfg.train.walk, init_r, base_seed,
-                                     cfg.pipeline.walker_threads);
-  }();
-  stats.walk_seconds += timer.seconds();
-
-  std::vector<std::uint64_t> frequency = corpus.frequency;
-  NegativeSampler sampler(frequency);
-
-  timer.reset();
-  const std::size_t batches_per_epoch =
-      (corpus.walks.size() + cfg.pipeline.batch_walks - 1) /
-      cfg.pipeline.batch_walks;
-  const BatchSource src{corpus,
-                        sampler,
-                        cfg.train.walk.window,
-                        cfg.train.negative_samples,
-                        cfg.train.negative_mode,
-                        base_seed,
-                        cfg.pipeline.batch_walks,
-                        batches_per_epoch};
-  run_batched(model, src, batches_per_epoch, cfg.pipeline, stats,
-              snapshots);
-  stats.train_seconds += timer.seconds();
-  corpus.walks.clear();
-  corpus.walks.shrink_to_fit();
-
-  // Phase 2: stream the removed edges back in; walk from both endpoints
-  // of each inserted edge (Sec. 4.3.2) and train sequentially. The two
-  // endpoint walks share one WalkBatch, so backends with batched
-  // implementations (notably the FPGA) burst their overlapping rows.
-  Node2VecWalker<DynamicGraph> walker(dyn, cfg.train.walk);
-  std::vector<NodeId> walk;
-  std::vector<NodeId> neg_scratch;
-  WalkBatch batch;
-  std::size_t since_rebuild = 0;
-  const std::size_t window = cfg.train.walk.window;
-
   const std::size_t limit =
       std::min(cfg.max_insertions, split.removed_edges.size());
   for (std::size_t i = 0; i < limit; ++i) {
     const Edge& e = split.removed_edges[i];
-    if (!dyn.add_edge(e.src, e.dst, e.weight)) continue;
-    ++result.insertions;
-
-    batch.clear();
-    timer.reset();
-    {
-      OBS_SPAN("walk_gen");
-      for (NodeId endpoint : {e.src, e.dst}) {
-        walker.walk_into(rng, endpoint, walk);
-        for (NodeId v : walk) ++frequency[v];
-        pack_walk(batch, walk, rng.next(), cfg.train.negative_mode,
-                  cfg.train.negative_samples, sampler, neg_scratch);
-        ++stats.num_walks;
-        stats.num_contexts += num_contexts(walk.size(), window);
-        train_metrics().walks->add();
-        train_metrics().contexts->add(num_contexts(walk.size(), window));
-      }
-    }
-    stats.walk_seconds += timer.seconds();
-
-    timer.reset();
-    {
-      OBS_SPAN("train_batch");
-      stats.last_loss = model.train_batch(batch, window, sampler,
-                                          cfg.train.negative_samples,
-                                          cfg.train.negative_mode);
-    }
-    stats.train_seconds += timer.seconds();
-    ++stats.num_batches;
-    train_metrics().batches->add();
-    for (std::size_t w = 0; w < batch.num_walks(); ++w) {
-      snapshots.note_walk(batch, w);
-    }
-
-    if (++since_rebuild >= cfg.sampler_rebuild_interval) {
-      sampler = NegativeSampler(frequency);
-      ++stats.sampler_rebuilds;
-      train_metrics().sampler_rebuilds->add();
-      since_rebuild = 0;
-    }
-
-    if (snapshots.active() && cfg.snapshot_every_insertions != 0 &&
-        result.insertions % cfg.snapshot_every_insertions == 0) {
-      snapshots.publish(model, stats);
-      ++stats.snapshots_published;
+    if (stream.insert(e.src, e.dst, e.weight) !=
+        SlidingWindowGraph::kInvalidToken) {
+      ++result.insertions;
     }
   }
-  if (snapshots.active()) {
-    snapshots.publish(model, stats);
-    ++stats.snapshots_published;
-  }
+  stream.flush();  // the final state, always published
+  result.stats = run_stats(forest, stream.train_stats());
+  result.stats.train_seconds += timer.seconds();
   return result;
 }
 
@@ -512,11 +477,27 @@ StreamTrainer::StreamTrainer(EmbeddingModel& model, SlidingWindowGraph& graph,
       cfg_(cfg),
       rng_(rng.next()),
       walker_(graph, cfg.train.walk),
-      dirty_(model.num_nodes()) {
+      dirty_(model.num_nodes()),
+      records_(kUnlearnHorizon),
+      record_tokens_(kUnlearnHorizon, SlidingWindowGraph::kInvalidToken) {
   cfg_.train.validate();
   if (cfg_.retrain_walks_per_endpoint == 0) {
     cfg_.retrain_walks_per_endpoint = 1;
   }
+  // Size every slot for one insertion (two endpoint walks and their
+  // negatives) up front, so steady-state inserts never allocate.
+  for (Recorded& r : records_) {
+    r.batch.reserve(2, cfg_.train.walk.walk_length,
+                    cfg_.train.negative_samples);
+    records_bytes_ += r.batch.capacity_bytes();
+  }
+  deletion_metrics().records_bytes->add(
+      static_cast<std::int64_t>(records_bytes_));
+}
+
+StreamTrainer::~StreamTrainer() {
+  deletion_metrics().records_bytes->sub(
+      static_cast<std::int64_t>(records_bytes_));
 }
 
 std::uint64_t StreamTrainer::insert(NodeId u, NodeId v, float weight,
@@ -529,10 +510,17 @@ std::uint64_t StreamTrainer::insert(NodeId u, NodeId v, float weight,
   dead_.erase(u);
   dead_.erase(v);
 
-  const std::size_t window = cfg_.train.walk.window;
+  // This insert trains at mutation_seq_ + 1 and takes that slot. The
+  // record there trained kUnlearnHorizon or more mutations ago, so no
+  // later deletion could reverse it any more.
+  const std::size_t slot = (mutation_seq_ + 1) % kUnlearnHorizon;
+  record_tokens_[slot] = SlidingWindowGraph::kInvalidToken;
+  WalkBatch& batch = records_[slot].batch;
+  const std::size_t held = batch.capacity_bytes();
+  batch.clear();
+
   const std::size_t ns = cfg_.train.negative_samples;
   const NegativeSampler& sampler = graph_.sampler();
-  WalkBatch batch;
   {
     OBS_SPAN("walk_gen");
     for (NodeId endpoint : {u, v}) {
@@ -541,21 +529,17 @@ std::uint64_t StreamTrainer::insert(NodeId u, NodeId v, float weight,
       // its full sample stream to be reversible on eviction.
       pack_walk(batch, walk_scratch_, rng_.next(), NegativeMode::kPerWalk,
                 ns, sampler, neg_scratch_);
-      ++stats_.walks_trained;
-      train_metrics().walks->add();
-      train_metrics().contexts->add(
-          num_contexts(walk_scratch_.size(), window));
     }
   }
-  {
-    OBS_SPAN("train_batch");
-    train_stats_.last_loss = model_.train_batch(
-        batch, window, sampler, ns, NegativeMode::kPerWalk);
+  train(batch, sampler);
+  record_tokens_[slot] = token;
+  records_[slot].trained_at = ++mutation_seq_;
+  // Measured, not assumed: a slot's capacity only grows, and only if a
+  // batch outgrows the constructor's reserve.
+  if (const std::size_t grown = batch.capacity_bytes() - held; grown != 0) {
+    records_bytes_ += grown;
+    deletion_metrics().records_bytes->add(static_cast<std::int64_t>(grown));
   }
-  ++train_stats_.num_batches;
-  train_metrics().batches->add();
-  note_dirty(batch);
-  records_[token] = Recorded{std::move(batch), ++mutation_seq_};
   note_mutation();
   return token;
 }
@@ -586,18 +570,20 @@ void StreamTrainer::unlearn_edge(const ExpiredEdge& e) {
 
   bool unlearned = false;
   ++mutation_seq_;
-  auto it = records_.find(e.token);
-  if (it != records_.end()) {
+  const auto found =
+      std::find(record_tokens_.begin(), record_tokens_.end(), e.token);
+  if (found != record_tokens_.end()) {
+    *found = SlidingWindowGraph::kInvalidToken;  // consumed either way
+    const Recorded& rec = records_[static_cast<std::size_t>(
+        found - record_tokens_.begin())];
     // Staleness guard: the downdate reverses the recorded residuals
     // against the CURRENT weights, so its error grows with how far the
     // touched rows drifted since training. Recent deletions (flapping
     // links, immediate retractions) reverse near-exactly; one trained
     // half a stream ago would inject more noise than it removes — skip
     // the downdate and dilute via re-training instead.
-    const bool fresh_enough =
-        mutation_seq_ - it->second.trained_at <= cfg_.unlearn_staleness_limit;
-    if (fresh_enough) {
-      const WalkBatch& batch = it->second.batch;
+    if (mutation_seq_ - rec.trained_at <= kUnlearnHorizon) {
+      const WalkBatch& batch = rec.batch;
       // Every row the batch may touch needs republishing whether the
       // reversal is exact, partial (guard fired mid-batch), or skipped.
       note_dirty(batch);
@@ -611,7 +597,6 @@ void StreamTrainer::unlearn_edge(const ExpiredEdge& e) {
         deletion_metrics().unlearn_walks->add(batch.num_walks());
       }
     }
-    records_.erase(it);
   }
 
   if (!unlearned) {
@@ -642,26 +627,42 @@ void StreamTrainer::unlearn_edge(const ExpiredEdge& e) {
 // endpoint of a deleted edge. Not recorded: these walks belong to no
 // edge.
 void StreamTrainer::retrain_endpoints(const ExpiredEdge& e) {
-  const std::size_t window = cfg_.train.walk.window;
-  const std::size_t ns = cfg_.train.negative_samples;
   const NegativeSampler& sampler = graph_.sampler();
-  WalkBatch batch;
+  retrain_batch_.clear();
   for (NodeId endpoint : {e.src, e.dst}) {
     if (graph_.degree(endpoint) == 0) continue;
     for (std::size_t r = 0; r < cfg_.retrain_walks_per_endpoint; ++r) {
       walker_.walk_into(rng_, endpoint, walk_scratch_);
-      pack_walk(batch, walk_scratch_, rng_.next(), NegativeMode::kPerWalk,
-                ns, sampler, neg_scratch_);
-      ++stats_.walks_trained;
-      train_metrics().walks->add();
+      pack_walk(retrain_batch_, walk_scratch_, rng_.next(),
+                NegativeMode::kPerWalk, cfg_.train.negative_samples, sampler,
+                neg_scratch_);
     }
   }
-  if (!batch.empty()) {
-    train_stats_.last_loss = model_.train_batch(
-        batch, window, sampler, ns, NegativeMode::kPerWalk);
-    ++train_stats_.num_batches;
-    note_dirty(batch);
+  if (!retrain_batch_.empty()) train(retrain_batch_, sampler);
+}
+
+// Train one batch of kPerWalk-packed walks, count it, and mark its rows
+// for the next flush.
+void StreamTrainer::train(const WalkBatch& batch,
+                          const NegativeSampler& sampler) {
+  const std::size_t window = cfg_.train.walk.window;
+  {
+    OBS_SPAN("train_batch");
+    train_stats_.last_loss =
+        model_.train_batch(batch, window, sampler,
+                           cfg_.train.negative_samples,
+                           NegativeMode::kPerWalk);
   }
+  const std::size_t contexts = batch.total_contexts(window);
+  stats_.walks_trained += batch.num_walks();
+  train_stats_.num_walks += batch.num_walks();
+  train_stats_.num_contexts += contexts;
+  ++train_stats_.num_batches;
+  TrainMetrics& tm = train_metrics();
+  tm.walks->add(batch.num_walks());
+  tm.contexts->add(contexts);
+  tm.batches->add();
+  note_dirty(batch);
 }
 
 void StreamTrainer::note_dirty(const WalkBatch& batch) {
@@ -696,7 +697,6 @@ void StreamTrainer::flush() {
                       tombstone_scratch_.begin(), tombstone_scratch_.end(),
                       std::back_inserter(touched_scratch_));
 
-  train_stats_.num_walks = stats_.walks_trained;
   cfg_.sink->on_delta(model_, train_stats_, touched_scratch_);
   // Replace semantics: the complete current dead set, after the delta,
   // so a full-snapshot fallback inside on_delta (which clears the

@@ -14,10 +14,12 @@
 //    components, then add the removed edges back one at a time; each
 //    insertion triggers a random walk from *both* endpoints of the new
 //    edge plus a sequential training step (train_sequential). The
-//    initial forest phase reuses the pipelined engine; the insertion
-//    stream is inherently sequential but still trains through
-//    train_batch (the two endpoint walks share one batch, which lets
-//    the FPGA backend burst their overlapping beta rows).
+//    initial forest phase is train_all's pipelined engine; the
+//    insertion stream is a loop of StreamTrainer::insert over a
+//    sliding window with no horizon — the same online update the
+//    deletion-aware stream runs (the two endpoint walks share one
+//    batch, which lets the FPGA backend burst their overlapping beta
+//    rows).
 //
 // Determinism contract: every stochastic choice in the pipelined path is
 // keyed by (seed derived from the caller's Rng, stream, walk id) — see
@@ -28,14 +30,12 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "embedding/config.hpp"
 #include "embedding/model.hpp"
 #include "embedding/sparse_delta.hpp"
-#include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/sliding_window.hpp"
 #include "graph/spanning_forest.hpp"
@@ -46,12 +46,13 @@
 namespace seqge {
 
 struct TrainStats {
-  double walk_seconds = 0.0;   ///< time spent generating random walks
+  /// Time spent generating random walks. "seq": the forest phase only;
+  /// the insertion stream's walks are timed inside train_seconds.
+  double walk_seconds = 0.0;
   double train_seconds = 0.0;  ///< time spent in model updates
   std::size_t num_walks = 0;
   std::size_t num_contexts = 0;
-  std::size_t num_batches = 0;       ///< train_batch calls issued
-  std::size_t sampler_rebuilds = 0;  ///< alias-table rebuilds ("seq" only)
+  std::size_t num_batches = 0;          ///< train_batch calls issued
   std::size_t snapshots_published = 0;  ///< SnapshotSink invocations
   double last_loss = 0.0;
 };
@@ -157,23 +158,20 @@ TrainStats train_all(EmbeddingModel& model, const Graph& graph,
 
 struct SequentialConfig {
   TrainConfig train;
-  /// Walks per node for the initial (forest) training phase. 0 = use
-  /// train.walks_per_node.
+  /// Walks per node for the initial (forest) training phase, one epoch.
+  /// 0 = use train.walks_per_node.
   std::size_t initial_walks_per_node = 0;
-  /// Rebuild the O(n) negative-sampling alias table every this many
-  /// insertions (the paper rebuilds per walk; amortizing preserves the
-  /// distribution to within staleness of a few hundred walk counts).
-  /// Rebuilds performed are reported in TrainStats::sampler_rebuilds.
-  std::size_t sampler_rebuild_interval = 256;
   /// Cap on the number of edge insertions (for scaled-down benches);
   /// SIZE_MAX = insert every removed edge.
   std::size_t max_insertions = static_cast<std::size_t>(-1);
   /// Pipeline staffing for the initial forest phase (the insertion
   /// stream is inherently sequential). Its snapshot_sink (if any) is
-  /// shared by both phases.
+  /// shared by both phases and also receives the forest phase's final
+  /// state before the first insertion.
   PipelineConfig pipeline{};
-  /// Publish a snapshot to pipeline.snapshot_sink every this many edge
-  /// insertions during phase 2 (0 = only the final snapshot).
+  /// Publish to pipeline.snapshot_sink every this many edge insertions
+  /// during phase 2 (StreamConfig::publish_every of the insertion
+  /// stream; 0 = only the final state).
   std::size_t snapshot_every_insertions = 0;
 };
 
@@ -185,8 +183,11 @@ struct SequentialResult {
 };
 
 /// Dynamic ("seq") training: forest initialization + per-edge sequential
-/// updates. The model keeps all state across insertions — this is what
-/// exposes catastrophic forgetting in the SGD baseline.
+/// updates through StreamTrainer::insert, so insertion walks pack
+/// kPerWalk negatives from the window's degree sampler whatever
+/// cfg.train.negative_mode says. The model keeps all state across
+/// insertions — this is what exposes catastrophic forgetting in the SGD
+/// baseline.
 SequentialResult train_sequential(EmbeddingModel& model,
                                   const Graph& full_graph,
                                   const SequentialConfig& cfg, Rng& rng);
@@ -219,16 +220,6 @@ struct StreamConfig {
   /// surviving structure (see bench_dynamic's recall gate). Disable
   /// for strict LIFO streams, where the downdate alone is exact.
   bool refresh_after_unlearn = true;
-  /// Downdate staleness horizon, in stream mutations (inserts +
-  /// deletions) between an edge's training and its deletion. The
-  /// reversal's error is proportional to how far the touched rows have
-  /// drifted since training — near-zero for a recent ("flapping") edge,
-  /// embedding-wrecking for one trained half a stream ago (measured in
-  /// bench_dynamic: applying the downdate to uniformly stale deletions
-  /// caps neighbor recall at less than half the fresh baseline's).
-  /// Deletions older than this skip the downdate and take the fallback
-  /// re-train path.
-  std::size_t unlearn_staleness_limit = 256;
 };
 
 struct StreamStats {
@@ -256,19 +247,36 @@ struct StreamStats {
 /// regardless of cfg.train.negative_mode) — that is what makes the
 /// recorded batches reversible without replaying model-internal RNG.
 ///
-/// Single-threaded, like the phase-2 insertion stream of
-/// train_sequential; determinism is keyed off one draw from the caller's
-/// Rng at construction.
+/// Single-threaded; train_sequential's insertion stream is a loop of
+/// insert(). Determinism is keyed off one draw from the caller's Rng at
+/// construction.
 class StreamTrainer {
  public:
+  /// Downdate staleness horizon, in stream mutations (inserts +
+  /// deletions) between an edge's training and its deletion. The
+  /// reversal's error is proportional to how far the touched rows have
+  /// drifted since training — near-zero for a recent ("flapping") edge,
+  /// embedding-wrecking for one trained half a stream ago (measured in
+  /// bench_dynamic: applying the downdate to uniformly stale deletions
+  /// caps neighbor recall at less than half the fresh baseline's).
+  /// Deletions older than this skip the downdate and take the fallback
+  /// re-train path, so the trainer keeps training records for the last
+  /// kUnlearnHorizon mutations only: a fixed ring, whatever the number
+  /// of live edges.
+  static constexpr std::size_t kUnlearnHorizon = 256;
+
   /// `model` and `graph` are borrowed; both must outlive the trainer.
   /// The graph may be pre-populated (its existing edges are treated as
   /// already trained by the caller).
   StreamTrainer(EmbeddingModel& model, SlidingWindowGraph& graph,
                 const StreamConfig& cfg, Rng& rng);
+  ~StreamTrainer();
+  StreamTrainer(const StreamTrainer&) = delete;
+  StreamTrainer& operator=(const StreamTrainer&) = delete;
 
   /// Insert (u, v) at `stamp`, walk from both endpoints, train, and
-  /// record the batch under the edge's token for later unlearning.
+  /// record the batch under the edge's token for later unlearning
+  /// (kept for kUnlearnHorizon mutations).
   /// Returns the token, or SlidingWindowGraph::kInvalidToken when the
   /// graph rejected the edge (duplicate / self-loop / out of range).
   std::uint64_t insert(NodeId u, NodeId v, float weight = 1.0f,
@@ -289,6 +297,11 @@ class StreamTrainer {
   void flush();
 
   [[nodiscard]] const StreamStats& stats() const noexcept { return stats_; }
+  /// Training-side counters of every walk this trainer trained (insert
+  /// walks and re-trains) and of its publications.
+  [[nodiscard]] const TrainStats& train_stats() const noexcept {
+    return train_stats_;
+  }
   /// Nodes currently tombstoned (isolated by deletions), unsorted.
   [[nodiscard]] const std::unordered_set<NodeId>& dead_nodes()
       const noexcept {
@@ -298,6 +311,7 @@ class StreamTrainer {
  private:
   void unlearn_edge(const ExpiredEdge& e);
   void retrain_endpoints(const ExpiredEdge& e);
+  void train(const WalkBatch& batch, const NegativeSampler& sampler);
   void note_dirty(const WalkBatch& batch);
   void note_mutation();
 
@@ -307,18 +321,30 @@ class StreamTrainer {
   Rng rng_;
   Node2VecWalker<SlidingWindowGraph> walker_;
   DirtyRowSet dirty_;
-  /// Training record of one live edge, kept until deletion: the exact
-  /// batch to reverse, and when it trained (staleness-guard input).
+  /// Training record of one insertion: the exact batch to reverse, and
+  /// when it trained (staleness-guard input).
   struct Recorded {
     WalkBatch batch;
     std::uint64_t trained_at = 0;  ///< mutation_seq_ at train time
   };
-  std::unordered_map<std::uint64_t, Recorded> records_;  // token -> record
+  /// Ring of kUnlearnHorizon records: the insert trained at mutation t
+  /// owns slot t % kUnlearnHorizon until a later insert with the same
+  /// residue reuses it (and its batch capacity), kUnlearnHorizon or
+  /// more mutations on. A deletion at d can only reverse records
+  /// trained at d - kUnlearnHorizon or later, whose slots no insert has
+  /// reused yet.
+  std::vector<Recorded> records_;
+  /// Edge token of each slot's record (kInvalidToken: none, or already
+  /// consumed) — kept apart from the batches so a lookup scans one
+  /// contiguous array.
+  std::vector<std::uint64_t> record_tokens_;
+  std::size_t records_bytes_ = 0;  ///< batch capacity held by the ring
   std::uint64_t mutation_seq_ = 0;
   std::unordered_set<NodeId> dead_;
   StreamStats stats_;
   TrainStats train_stats_;
   std::vector<NodeId> walk_scratch_, neg_scratch_;
+  WalkBatch retrain_batch_;
   std::vector<NodeId> tombstone_scratch_, touched_scratch_;
   std::vector<ExpiredEdge> expired_scratch_;
   std::size_t since_publish_ = 0;

@@ -4,18 +4,6 @@
 
 namespace seqge {
 
-DynamicGraph DynamicGraph::from_graph(const Graph& g) {
-  DynamicGraph dg(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    auto nbrs = g.neighbors(u);
-    auto ws = g.weights(u);
-    dg.adjacency_[u].assign(nbrs.begin(), nbrs.end());
-    dg.weights_[u].assign(ws.begin(), ws.end());
-  }
-  dg.num_edges_ = g.num_edges();
-  return dg;
-}
-
 bool DynamicGraph::has_edge(NodeId u, NodeId v) const noexcept {
   const auto& nbrs = adjacency_[u];
   return std::binary_search(nbrs.begin(), nbrs.end(), v);

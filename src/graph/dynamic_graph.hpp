@@ -21,9 +21,6 @@ class DynamicGraph {
   explicit DynamicGraph(std::size_t num_nodes)
       : adjacency_(num_nodes), weights_(num_nodes) {}
 
-  /// Seed from an existing static graph (e.g. the spanning forest).
-  static DynamicGraph from_graph(const Graph& g);
-
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return adjacency_.size();
   }

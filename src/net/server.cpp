@@ -306,6 +306,13 @@ void Server::dispatch(Conn& conn, Request&& req,
   const Pending self{conn.id, req.id, req.u, t0};
   switch (req.type) {
     case MsgType::kTopK:
+      // An out-of-range node goes to the engine alone and fails there,
+      // as it would uncoalesced; inside a coalesced batch it would fail
+      // every member.
+      if (req.u >= engine_.num_nodes()) [[unlikely]] {
+        submit(req.type, serve::TopKBatchQuery{{req.u}, req.k}, {self});
+        break;
+      }
       // Deferred: coalesced with this sweep's other single top-ks into
       // one engine batch call (flush_coalesced).
       pending_topk_[req.k].push_back(self);

@@ -202,6 +202,10 @@ class EmbeddingServer {
   }
   /// Latest version the backing store has published (0 = none yet).
   [[nodiscard]] std::uint64_t store_version() const;
+  /// Rows of the backing store: 0 before the first publish, fixed by it.
+  [[nodiscard]] std::size_t num_nodes() const noexcept {
+    return store_->num_rows();
+  }
 
  private:
   struct Request {

@@ -81,6 +81,8 @@ class WalkBatch {
     return nodes_.size();
   }
   [[nodiscard]] std::size_t total_contexts(std::size_t window) const noexcept;
+  /// Heap bytes the batch holds (buffer capacities, not sizes).
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept;
 
  private:
   std::vector<NodeId> nodes_;          // all walks, concatenated

@@ -1,14 +1,11 @@
 // Tests for the synthetic-dataset substrate: the DC-SBM generator, the
-// Table 1 dataset twins, utility graphs, and labeled-graph I/O.
+// Table 1 dataset twins, and utility graphs.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "graph/components.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "graph/stats.hpp"
 #include "util/rng.hpp"
 
@@ -172,29 +169,6 @@ TEST(Datasets, ScaleShrinksProportionally) {
   EXPECT_NEAR(static_cast<double>(g.graph.num_edges()), 14366.0, 150.0);
   EXPECT_THROW(make_dataset(DatasetId::kCora, 1, 0.0), std::invalid_argument);
   EXPECT_THROW(make_dataset(DatasetId::kCora, 1, 1.5), std::invalid_argument);
-}
-
-TEST(GraphIo, SaveLoadRoundTrip) {
-  const LabeledGraph g = generate_dcsbm(
-      {.num_nodes = 120, .target_edges = 500, .num_classes = 4, .seed = 8});
-  std::stringstream ss;
-  save_labeled_graph(ss, g);
-  const LabeledGraph g2 = load_labeled_graph(ss);
-  EXPECT_EQ(g2.graph.num_nodes(), g.graph.num_nodes());
-  EXPECT_EQ(g2.graph.num_edges(), g.graph.num_edges());
-  EXPECT_EQ(g2.labels, g.labels);
-  EXPECT_EQ(g2.num_classes, g.num_classes);
-  for (NodeId u = 0; u < g.graph.num_nodes(); ++u) {
-    auto a = g.graph.neighbors(u);
-    auto b = g2.graph.neighbors(u);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  }
-}
-
-TEST(GraphIo, RejectsGarbage) {
-  std::stringstream ss("not a graph file");
-  EXPECT_THROW(load_labeled_graph(ss), std::runtime_error);
 }
 
 TEST(GraphStats, HandComputedCase) {

@@ -1,6 +1,6 @@
-// Unit tests for the CSR graph, dynamic graph, connected components,
-// union-find, and the spanning-forest split that drives the "seq"
-// scenario.
+// Unit tests for the CSR graph, dynamic graph, sliding-window graph,
+// connected components, union-find, and the spanning-forest split that
+// drives the "seq" scenario.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/sliding_window.hpp"
 #include "graph/spanning_forest.hpp"
 #include "util/rng.hpp"
 
@@ -106,12 +107,51 @@ TEST(DynamicGraph, NeighborsStaySorted) {
 
 TEST(DynamicGraph, RoundTripWithGraph) {
   const Graph g = triangle_plus_tail();
-  const DynamicGraph dg = DynamicGraph::from_graph(g);
+  DynamicGraph dg(g.num_nodes());
+  for (const Edge& e : g.edge_list()) dg.add_edge(e.src, e.dst, e.weight);
   EXPECT_EQ(dg.num_edges(), g.num_edges());
   const Graph g2 = dg.to_graph();
   EXPECT_EQ(g2.num_edges(), g.num_edges());
   EXPECT_TRUE(g2.has_edge(0, 2));
   EXPECT_FLOAT_EQ(g2.edge_weight(2, 3), 1.0f);
+}
+
+// The O(n) alias table is rebuilt lazily: once per
+// sampler_rebuild_interval mutations, however often it is read. Every
+// insertion of train_sequential's stream reads it once.
+TEST(SlidingWindowGraph, SamplerRebuildCadenceMatchesInterval) {
+  auto rebuilds_after_inserts = [](std::size_t interval,
+                                   std::size_t inserts) {
+    SlidingWindowGraph::Options opts;
+    opts.sampler_rebuild_interval = interval;
+    SlidingWindowGraph w(64, opts);
+    for (NodeId i = 0; i < inserts; ++i) {
+      w.add_edge(i, i + 1, 1.0f, i);
+      (void)w.sampler();
+    }
+    return w.sampler_rebuilds();
+  };
+  // The first read builds the table (insertion 1); later reads rebuild
+  // at insertions 6, 11 and 16.
+  EXPECT_EQ(rebuilds_after_inserts(5, 20), 4u);
+  // A longer interval amortizes further: insertions 1 and 17.
+  EXPECT_EQ(rebuilds_after_inserts(16, 20), 2u);
+
+  // Removals are mutations too, and reads between mutations are free.
+  SlidingWindowGraph::Options opts;
+  opts.sampler_rebuild_interval = 3;
+  SlidingWindowGraph w(8, opts);
+  for (NodeId i = 0; i < 6; ++i) w.add_edge(i, i + 1, 1.0f, 0);
+  (void)w.sampler();
+  ASSERT_EQ(w.sampler_rebuilds(), 1u);
+  ASSERT_TRUE(w.remove_edge(0, 1).has_value());
+  ASSERT_TRUE(w.remove_edge(1, 2).has_value());
+  (void)w.sampler();
+  EXPECT_EQ(w.sampler_rebuilds(), 1u);
+  ASSERT_TRUE(w.remove_edge(2, 3).has_value());
+  (void)w.sampler();
+  (void)w.sampler();
+  EXPECT_EQ(w.sampler_rebuilds(), 2u);
 }
 
 TEST(UnionFind, MergesAndCounts) {

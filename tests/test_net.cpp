@@ -409,6 +409,30 @@ TEST(NetServer, TopKBatchWithOutOfRangeNodeIsAnErrorWithNoPartialAnswer) {
   EXPECT_TRUE(empty.batch.empty());
 }
 
+// Single top-ks pipelined on one connection are coalesced into one
+// engine batch; an out-of-range node among them fails alone, with the
+// status it gets by itself, and its neighbours get their answers.
+TEST(NetServer, CoalescedTopKWithOutOfRangeNodeFailsOnlyThatRequest) {
+  Loopback lb;  // 64 nodes
+  Client client("127.0.0.1", lb.server.port());
+  const Response lone = client.topk(999, 5);
+  EXPECT_EQ(lone.status, Status::kError);
+
+  const serve::TopKResult local = lb.engine.topk(1, 5).get();
+  const std::uint64_t bad = client.send_topk(999, 5);
+  const std::uint64_t good = client.send_topk(1, 5);
+  const Response bad_resp = client.wait(bad);
+  const Response good_resp = client.wait(good);
+  EXPECT_EQ(bad_resp.status, lone.status);
+  EXPECT_TRUE(bad_resp.neighbors.empty());
+  ASSERT_EQ(good_resp.status, Status::kOk);
+  ASSERT_EQ(good_resp.neighbors.size(), local.neighbors.size());
+  for (std::size_t i = 0; i < local.neighbors.size(); ++i) {
+    EXPECT_EQ(good_resp.neighbors[i].node, local.neighbors[i].node);
+    EXPECT_EQ(good_resp.neighbors[i].score, local.neighbors[i].score);
+  }
+}
+
 TEST(NetServer, PipelinedResponsesMatchedByCorrelationId) {
   Loopback lb;
   Client client("127.0.0.1", lb.server.port());

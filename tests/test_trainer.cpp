@@ -131,32 +131,6 @@ TEST(TrainSequential, InitialWalksOverride) {
   EXPECT_EQ(result.stats.num_walks, data.graph.num_nodes());
 }
 
-TEST(TrainSequential, SamplerRebuildCadenceMatchesInterval) {
-  const LabeledGraph data = small_graph();
-  SequentialConfig cfg;
-  cfg.train = small_config();
-  cfg.max_insertions = 20;
-  cfg.sampler_rebuild_interval = 5;
-  Rng rng(8);
-  auto model =
-      make_model(ModelKind::kOselm, data.graph.num_nodes(), cfg.train, rng);
-  const SequentialResult result =
-      train_sequential(*model, data.graph, cfg, rng);
-  ASSERT_EQ(result.insertions, 20u);
-  // One rebuild every 5 insertions: exactly 20 / 5.
-  EXPECT_EQ(result.stats.sampler_rebuilds, 4u);
-
-  // A longer interval amortizes further.
-  SequentialConfig sparse = cfg;
-  sparse.sampler_rebuild_interval = 16;
-  Rng rng2(8);
-  auto model2 =
-      make_model(ModelKind::kOselm, data.graph.num_nodes(), cfg.train, rng2);
-  const SequentialResult result2 =
-      train_sequential(*model2, data.graph, sparse, rng2);
-  EXPECT_EQ(result2.stats.sampler_rebuilds, 1u);
-}
-
 TEST(TrainSequential, WorksForSgdBaselineToo) {
   const LabeledGraph data = small_graph();
   SequentialConfig cfg;

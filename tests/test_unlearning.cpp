@@ -22,6 +22,7 @@
 #include "embedding/trainer.hpp"
 #include "graph/sliding_window.hpp"
 #include "linalg/kernels.hpp"
+#include "obs/metrics.hpp"
 #include "sampling/negative_sampler.hpp"
 #include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
@@ -469,6 +470,74 @@ TEST(StreamTrainer, FlushPublishesTombstonesAndOnlySurvivingRows) {
     if (hit.node == NodeId{20}) saw = true;
   }
   EXPECT_TRUE(saw);
+}
+
+// The record ring holds exactly kUnlearnHorizon mutations: a deletion
+// kUnlearnHorizon mutations after its insert is still reversed exactly;
+// one mutation later it takes the fallback re-train.
+TEST(StreamTrainer, UnlearnHorizonIsExactlyTheRing) {
+  constexpr std::size_t kHorizon = StreamTrainer::kUnlearnHorizon;
+  for (const std::size_t gap : {kHorizon, kHorizon + 1}) {
+    StreamConfig cfg = small_stream_config();
+    cfg.refresh_after_unlearn = false;
+    SlidingWindowGraph graph(kHorizon + 8);
+    Rng mrng(61);
+    auto model = make_model(ModelKind::kOselm, kHorizon + 8, cfg.train, mrng);
+    Rng srng(62);
+    StreamTrainer trainer(*model, graph, cfg, srng);
+    // The edge under test trains at mutation 1, then gap - 1 other
+    // inserts; its deletion is mutation gap + 1.
+    ASSERT_NE(trainer.insert(0, 1), SlidingWindowGraph::kInvalidToken);
+    for (NodeId u = 1; u < gap; ++u) {
+      ASSERT_NE(trainer.insert(u, u + 1), SlidingWindowGraph::kInvalidToken);
+    }
+    ASSERT_TRUE(trainer.remove(0, 1));
+    if (gap == kHorizon) {
+      EXPECT_EQ(trainer.stats().walks_unlearned, 2u) << "gap " << gap;
+      EXPECT_EQ(trainer.stats().fallback_retrains, 0u) << "gap " << gap;
+    } else {
+      EXPECT_EQ(trainer.stats().walks_unlearned, 0u) << "gap " << gap;
+      EXPECT_EQ(trainer.stats().fallback_retrains, 1u) << "gap " << gap;
+    }
+  }
+}
+
+// The records gauge tracks the ring, not the live edge count: it is
+// fixed at kUnlearnHorizon one-insertion slots from construction on,
+// however many edges stay live, and is released with the trainer.
+TEST(StreamTrainer, UnlearnRecordsStayWithinTheRing) {
+  constexpr std::size_t kHorizon = StreamTrainer::kUnlearnHorizon;
+  constexpr std::size_t kEdges = 10 * kHorizon;
+  const obs::Gauge* bytes =
+      obs::Registry::global().gauge("seqge_stream_unlearn_records_bytes");
+  const std::int64_t base = bytes->value();
+  const StreamConfig cfg = small_stream_config();
+  // One slot: two endpoint walks of at most walk_length nodes, their
+  // negatives, the two offset arrays and the per-walk seeds.
+  const std::size_t slot_bytes =
+      2 * (cfg.train.walk.walk_length + cfg.train.negative_samples) *
+          sizeof(NodeId) +
+      2 * 3 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+  const auto bound = static_cast<std::int64_t>(kHorizon * slot_bytes);
+  {
+    SlidingWindowGraph graph(kEdges + 1);
+    Rng mrng(71);
+    auto model = make_model(ModelKind::kOselm, kEdges + 1, cfg.train, mrng);
+    Rng srng(72);
+    StreamTrainer trainer(*model, graph, cfg, srng);
+    const std::int64_t at_start = bytes->value() - base;
+    EXPECT_GT(at_start, 0);
+    for (NodeId u = 0; u < kEdges; ++u) {
+      ASSERT_NE(trainer.insert(u, u + 1), SlidingWindowGraph::kInvalidToken);
+      if (u + 1 == kHorizon) {
+        EXPECT_EQ(bytes->value() - base, at_start);
+      }
+    }
+    EXPECT_EQ(graph.num_edges(), kEdges);
+    EXPECT_LE(bytes->value() - base, bound);
+    EXPECT_EQ(bytes->value() - base, at_start);
+  }
+  EXPECT_EQ(bytes->value(), base);
 }
 
 // --- serving-layer tombstones ----------------------------------------------
