@@ -18,11 +18,13 @@
 //   train — scalar reference vs dispatched *training* kernels at the
 //           training dims (96): matvec_transposed, rank1_update, the
 //           fused OS-ELM pair kernels (matvec_both, rank1_matvec), the
-//           gather kernels, sgns_apply, and a whole train_pair fused vs
-//           unfused on the real SGNS model. GATES: dispatched
-//           matvec_transposed must be >= 2x scalar on a vector ISA;
-//           the fused train_pair must not lose to the unfused path at
-//           full scale.
+//           gather kernels, sgns_apply, oselm_context_update, a whole
+//           train_pair fused vs unfused on the real SGNS model, and a
+//           whole OS-ELM train_walk fused vs unfused at N = 32. GATES:
+//           dispatched matvec_transposed must be >= 2x scalar on a
+//           vector ISA; the fused train_pair and the fused OS-ELM
+//           train_walk must not lose to their unfused paths at full
+//           scale.
 //   int8  — float scan vs int8 quantized scan (including the float
 //           re-rank the engines do). GATES: the int8 path must not be
 //           slower than the float scan on a vector ISA, and the
@@ -207,6 +209,19 @@ void run_micro_phase(std::size_t scale_div) {
     Node2VecWalker<Graph> walker(g, Node2VecParams{});
     const auto walk = walker.walk(rng, 0);
     report("train_walk/oselm/96", ns_per_op(it(200), [&] {
+             keep(model.train_walk(walk, 8, sampler, 10,
+                                   NegativeMode::kPerContext, rng));
+           }));
+  }
+  {
+    // The Table-2 shape the paper's board runs (l 80, w 8, ns 10, N 32).
+    Rng rng(9);
+    OselmSkipGram::Options opts;
+    opts.dims = 32;
+    OselmSkipGram model(g.num_nodes(), opts, rng);
+    Node2VecWalker<Graph> walker(g, Node2VecParams{});
+    const auto walk = walker.walk(rng, 0);
+    report("train_walk/oselm/32", ns_per_op(it(400), [&] {
              keep(model.train_walk(walk, 8, sampler, 10,
                                    NegativeMode::kPerContext, rng));
            }));
@@ -547,6 +562,29 @@ void run_train_phase(std::size_t scale_div, int passes, bool tiny) {
   }, passes);
   train_report("sgns_apply", n, sc_apply, ve_apply);
 
+  // One OS-ELM context's samples at Table 2's w 8, ns 10: 7 positives,
+  // each followed by the 10 negatives (77 row updates).
+  {
+    std::vector<float> table(17 * n), ph2(n);
+    for (auto& f : table) f = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (auto& f : ph2) f = static_cast<float>(rng.uniform(-1e-6, 1e-6));
+    std::vector<float*> pos(7), neg(10);
+    for (std::size_t i = 0; i < 7; ++i) pos[i] = table.data() + i * n;
+    for (std::size_t j = 0; j < 10; ++j) neg[j] = table.data() + (7 + j) * n;
+    std::vector<double> errors(77);
+    const double sc_ctx = ns_per_op(it(50000), [&] {
+      keep(simd::scalar::oselm_context_update(pos.data(), 7, neg.data(), 10,
+                                              h.data(), ph2.data(), n,
+                                              errors.data()));
+    }, passes);
+    const double ve_ctx = ns_per_op(it(50000), [&] {
+      keep(simd::oselm_context_update(pos.data(), 7, neg.data(), 10,
+                                      h.data(), ph2.data(), n,
+                                      errors.data()));
+    }, passes);
+    train_report("oselm_context_update", n, sc_ctx, ve_ctx);
+  }
+
   // Whole train_pair on the real model, fused batched path vs the
   // sequential per-sample fallback (set_force_unfused) — same model,
   // same distinct negatives, so both runs take the path they claim.
@@ -570,6 +608,33 @@ void run_train_phase(std::size_t scale_div, int passes, bool tiny) {
     // shares the same dispatched dot/axpy); gate conservatively, and
     // only at full scale — tiny runs are too short to be stable.
     gate("train_pair_fused_96", 1.05, unfused / fused, !tiny);
+  }
+
+  // Whole OS-ELM train_walk at the Table-2 shape (l 80, w 8, ns 10,
+  // N 32): the per-context kernel (oselm_context_update) vs the
+  // per-sample dot/axpy loop (set_force_unfused) — same model, walk and
+  // shared negatives. Gated like train_pair, at full scale only.
+  {
+    const Graph& graph = bench_graph().graph;
+    Rng mrng(13);
+    OselmSkipGram::Options opts;
+    opts.dims = 32;
+    OselmSkipGram model(graph.num_nodes(), opts, mrng);
+    const auto walk =
+        Node2VecWalker<Graph>(graph, Node2VecParams{}).walk(mrng, 0);
+    std::vector<NodeId> negs;
+    NegativeSampler::from_degrees(graph).sample_batch(mrng, 10, walk[0],
+                                                      negs);
+    model.set_force_unfused(true);
+    const double unfused = ns_per_op(it(2000), [&] {
+      keep(model.train_walk(walk, 8, negs));
+    }, passes);
+    model.set_force_unfused(false);
+    const double fused = ns_per_op(it(2000), [&] {
+      keep(model.train_walk(walk, 8, negs));
+    }, passes);
+    train_report("train_walk_oselm", opts.dims, unfused, fused);
+    gate("train_walk_oselm_fused_32", 1.05, unfused / fused, !tiny);
   }
 
   gate("train_matvec_t_96", 2.0, sc_mt / ve_mt);

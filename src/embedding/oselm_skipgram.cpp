@@ -1,7 +1,6 @@
 #include "embedding/oselm_skipgram.hpp"
 
 #include <cmath>
-#include <cstdint>
 
 #include "linalg/kernels.hpp"
 
@@ -50,29 +49,6 @@ void OselmSkipGram::prepare_negatives(std::span<const NodeId> negatives) {
       __builtin_prefetch(row + b);
     }
   }
-  // Duplicate draws (sampling is with replacement) make the batched
-  // scores read rows the sequential path updates mid-group — those
-  // contexts take the per-sample fallback. A 64-bit Bloom filter over
-  // the ids screens the common all-distinct batch; only a bit collision
-  // pays for the exact quadratic check, so the verdict is identical.
-  std::uint64_t seen = 0;
-  bool collision = false;
-  for (NodeId neg : negatives) {
-    const std::uint64_t bit = std::uint64_t{1} << (neg & 63u);
-    collision |= (seen & bit) != 0;
-    seen |= bit;
-  }
-  neg_dups_ = false;
-  if (collision) {
-    for (std::size_t i = 0; i + 1 < neg_rows_.size() && !neg_dups_; ++i) {
-      for (std::size_t j = i + 1; j < neg_rows_.size(); ++j) {
-        if (neg_rows_[i] == neg_rows_[j]) {
-          neg_dups_ = true;
-          break;
-        }
-      }
-    }
-  }
 }
 
 double OselmSkipGram::train_context(const WalkContext& ctx,
@@ -104,45 +80,34 @@ double OselmSkipGram::train_context_prepared(
                      hp_.data(), h_.data(), ph2_.data());
 
   double sq_err = 0.0;
-  auto train_sample = [&](NodeId s, float t) {
-    auto col = beta_t_.row(s);
-    const double e = static_cast<double>(t) - dot<float>(h_, col);
-    sq_err += e * e;
-    axpy<float>(static_cast<float>(e), ph2_, col);
-  };
-  for (NodeId pos : ctx.positives) {
-    float* pos_row = beta_t_.row(pos).data();
-    if (force_unfused_ || neg_dups_) {
+  if (force_unfused_) {
+    auto train_sample = [&](NodeId s, float t) {
+      auto col = beta_t_.row(s);
+      const double e = static_cast<double>(t) - dot<float>(h_, col);
+      sq_err += e * e;
+      axpy<float>(static_cast<float>(e), ph2_, col);
+    };
+    for (NodeId pos : ctx.positives) {
       train_sample(pos, 1.0f);
       for (NodeId neg : negatives) {
         if (neg == pos) continue;
         train_sample(neg, 0.0f);
       }
-      continue;
     }
-    // Fused group: positive first, then negatives != positive — the
-    // sequential sample order. Rows are pairwise distinct here, so the
-    // batched scores see exactly the floats the sequential pass would,
-    // and the gathered axpy updates cannot collide.
-    sample_rows_.clear();
-    sample_rows_.push_back(pos_row);
-    for (float* np : neg_rows_) {
-      if (np != pos_row) sample_rows_.push_back(np);
-    }
-    const std::size_t n = sample_rows_.size();
-    scores_.resize(n);
-    coeffs_.resize(n);
-    simd::dot_batch_gather(sample_rows_.data(), n, n_dims, h_.data(),
-                           scores_.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const double t = i == 0 ? 1.0 : 0.0;
-      const double e = t - static_cast<double>(scores_[i]);
-      sq_err += e * e;
-      coeffs_[i] = static_cast<float>(e);
-    }
-    simd::axpy_gather(sample_rows_.data(), coeffs_.data(), ph2_.data(), n,
-                      n_dims);
+    return sq_err;
   }
+  // The whole sample sequence — each positive, then the negatives that
+  // differ from it — in one kernel call, bit-identical to the loop
+  // above for any duplicates among the rows (simd.hpp contract).
+  pos_rows_.clear();
+  for (NodeId pos : ctx.positives) {
+    pos_rows_.push_back(beta_t_.row(pos).data());
+  }
+  errors_.resize(pos_rows_.size() * (1 + neg_rows_.size()));
+  const std::size_t n = simd::oselm_context_update(
+      pos_rows_.data(), pos_rows_.size(), neg_rows_.data(), neg_rows_.size(),
+      h_.data(), ph2_.data(), n_dims, errors_.data());
+  for (std::size_t i = 0; i < n; ++i) sq_err += errors_[i] * errors_[i];
   return sq_err;
 }
 

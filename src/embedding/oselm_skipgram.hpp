@@ -163,8 +163,7 @@ class OselmSkipGram {
   void set_force_unfused(bool v) noexcept { force_unfused_ = v; }
 
  private:
-  /// Cache beta rows of `negatives` + duplicate detection (see
-  /// SkipGramSGD::prepare_negatives).
+  /// Cache the beta rows of `negatives` (and start fetching them).
   void prepare_negatives(std::span<const NodeId> negatives);
 
   Options opts_;
@@ -175,9 +174,8 @@ class OselmSkipGram {
   std::vector<float> h_, ph_, hp_, ph2_;
   std::vector<NodeId> scratch_negatives_;
   // Fused-path scratch, reused across contexts/walks.
-  std::vector<float*> neg_rows_, sample_rows_;
-  std::vector<float> scores_, coeffs_;
-  bool neg_dups_ = false;
+  std::vector<float*> neg_rows_, pos_rows_;
+  std::vector<double> errors_;
   bool force_unfused_ = false;
 };
 

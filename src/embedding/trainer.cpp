@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -28,6 +29,7 @@ struct TrainMetrics {
   obs::Counter* batches;
   obs::Counter* contexts;
   obs::Counter* snapshots_published;
+  obs::Counter* nonfinite_batches;
 };
 
 TrainMetrics& train_metrics() {
@@ -40,6 +42,9 @@ TrainMetrics& train_metrics() {
                                       "Context pairs trained"),
       obs::Registry::global().counter("seqge_train_snapshots_published_total",
                                       {}, "Snapshot/delta publications"),
+      obs::Registry::global().counter(
+          "seqge_train_nonfinite_batches_total", {},
+          "Batches whose train_batch loss was NaN or infinite"),
   };
   return m;
 }
@@ -216,6 +221,7 @@ void run_batched(EmbeddingModel& model, const BatchSource& src,
       tm.walks->add(batch.num_walks());
       tm.contexts->add(batch.total_contexts(src.window));
       tm.batches->add();
+      if (!std::isfinite(stats.last_loss)) tm.nonfinite_batches->add();
       // Snapshot cadence: on the consumer thread, at a batch boundary,
       // so the sink sees a fully committed model state.
       if (pipe.snapshot_sink != nullptr && pipe.snapshot_every != 0 &&
@@ -662,6 +668,7 @@ void StreamTrainer::train(const WalkBatch& batch,
   tm.walks->add(batch.num_walks());
   tm.contexts->add(contexts);
   tm.batches->add();
+  if (!std::isfinite(train_stats_.last_loss)) tm.nonfinite_batches->add();
   note_dirty(batch);
 }
 

@@ -23,6 +23,33 @@ namespace seqge::simd {
 // dispatched call here, which is what makes that build bit-identical
 // to the pre-vectorization library.
 
+namespace {
+
+// The OS-ELM context sample loop as a composition of one ISA's dot and
+// axpy: the reference order oselm_context_update promises (simd.hpp).
+template <float (*Dot)(const float*, const float*, std::size_t) noexcept,
+          void (*Axpy)(float, const float*, float*, std::size_t) noexcept>
+std::size_t oselm_context_composed(float* const* pos_rows, std::size_t n_pos,
+                                   float* const* neg_rows, std::size_t n_neg,
+                                   const float* h, const float* ph2,
+                                   std::size_t dims, double* errors) noexcept {
+  std::size_t k = 0;
+  const auto sample = [&](float* row, double t) {
+    const double e = t - static_cast<double>(Dot(h, row, dims));
+    errors[k++] = e;
+    Axpy(static_cast<float>(e), ph2, row, dims);
+  };
+  for (std::size_t g = 0; g < n_pos; ++g) {
+    sample(pos_rows[g], 1.0);
+    for (std::size_t j = 0; j < n_neg; ++j) {
+      if (neg_rows[j] != pos_rows[g]) sample(neg_rows[j], 0.0);
+    }
+  }
+  return k;
+}
+
+}  // namespace
+
 namespace scalar {
 
 float dot(const float* x, const float* y, std::size_t n) noexcept {
@@ -94,6 +121,14 @@ void dot_batch_gather(const float* const* rows, std::size_t n,
 void axpy_gather(float* const* rows, const float* coeffs, const float* x,
                  std::size_t n, std::size_t dims) noexcept {
   for (std::size_t i = 0; i < n; ++i) axpy(coeffs[i], x, rows[i], dims);
+}
+
+std::size_t oselm_context_update(float* const* pos_rows, std::size_t n_pos,
+                                 float* const* neg_rows, std::size_t n_neg,
+                                 const float* h, const float* ph2,
+                                 std::size_t dims, double* errors) noexcept {
+  return oselm_context_composed<dot, axpy>(pos_rows, n_pos, neg_rows, n_neg,
+                                           h, ph2, dims, errors);
 }
 
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
@@ -305,6 +340,14 @@ void axpy_gather(float* const* rows, const float* coeffs, const float* x,
   for (std::size_t i = 0; i < n; ++i) axpy(coeffs[i], x, rows[i], dims);
 }
 
+std::size_t oselm_context_update(float* const* pos_rows, std::size_t n_pos,
+                                 float* const* neg_rows, std::size_t n_neg,
+                                 const float* h, const float* ph2,
+                                 std::size_t dims, double* errors) noexcept {
+  return oselm_context_composed<dot, axpy>(pos_rows, n_pos, neg_rows, n_neg,
+                                           h, ph2, dims, errors);
+}
+
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
                 float neg_lr, std::size_t n, std::size_t dims) noexcept {
   for (std::size_t d = 0; d < dims; ++d) hgrad[d] = 0.0f;
@@ -366,6 +409,10 @@ void dot_batch_gather(const float* const* rows, std::size_t n,
                       float* scores) noexcept;
 void axpy_gather(float* const* rows, const float* coeffs, const float* x,
                  std::size_t n, std::size_t dims) noexcept;
+std::size_t oselm_context_update(float* const* pos_rows, std::size_t n_pos,
+                                 float* const* neg_rows, std::size_t n_neg,
+                                 const float* h, const float* ph2,
+                                 std::size_t dims, double* errors) noexcept;
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
                 float neg_lr, std::size_t n, std::size_t dims) noexcept;
 std::int32_t dot_i8(const std::int8_t* x, const std::int8_t* y,
@@ -403,6 +450,11 @@ struct Table {
       scalar::dot_batch_gather;
   void (*axpy_gather)(float* const*, const float*, const float*, std::size_t,
                       std::size_t) noexcept = scalar::axpy_gather;
+  std::size_t (*oselm_context_update)(float* const*, std::size_t,
+                                     float* const*, std::size_t,
+                                     const float*, const float*, std::size_t,
+                                     double*) noexcept =
+      scalar::oselm_context_update;
   void (*sgns_apply)(float*, float*, float* const*, const float*, float,
                      std::size_t, std::size_t) noexcept = scalar::sgns_apply;
   std::int32_t (*dot_i8)(const std::int8_t*, const std::int8_t*,
@@ -429,6 +481,7 @@ Table select() noexcept {
     t.rank1_matvec = avx2::rank1_matvec;
     t.dot_batch_gather = avx2::dot_batch_gather;
     t.axpy_gather = avx2::axpy_gather;
+    t.oselm_context_update = avx2::oselm_context_update;
     t.sgns_apply = avx2::sgns_apply;
     t.dot_i8 = avx2::dot_i8;
     t.dot_i8_batch = avx2::dot_i8_batch;
@@ -449,6 +502,7 @@ Table select() noexcept {
   t.rank1_matvec = neon::rank1_matvec;
   t.dot_batch_gather = neon::dot_batch_gather;
   t.axpy_gather = neon::axpy_gather;
+  t.oselm_context_update = neon::oselm_context_update;
   t.sgns_apply = neon::sgns_apply;
   t.dot_i8 = neon::dot_i8;
   t.dot_i8_batch = neon::dot_i8_batch;
@@ -508,6 +562,13 @@ void dot_batch_gather(const float* const* rows, std::size_t n,
 void axpy_gather(float* const* rows, const float* coeffs, const float* x,
                  std::size_t n, std::size_t dims) noexcept {
   table().axpy_gather(rows, coeffs, x, n, dims);
+}
+std::size_t oselm_context_update(float* const* pos_rows, std::size_t n_pos,
+                                 float* const* neg_rows, std::size_t n_neg,
+                                 const float* h, const float* ph2,
+                                 std::size_t dims, double* errors) noexcept {
+  return table().oselm_context_update(pos_rows, n_pos, neg_rows, n_neg, h,
+                                      ph2, dims, errors);
 }
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
                 float neg_lr, std::size_t n, std::size_t dims) noexcept {

@@ -125,6 +125,21 @@ void dot_batch_gather(const float* const* rows, std::size_t n,
 void axpy_gather(float* const* rows, const float* coeffs, const float* x,
                  std::size_t n, std::size_t dims) noexcept;
 
+/// The sample half of one OS-ELM context (Algorithm 1 lines 9-14) in
+/// one call. Groups run in order; group g trains pos_rows[g] with
+/// target 1, then every neg_rows[j] != pos_rows[g] with target 0, in
+/// j order. Each sample scores its row in the canonical dot() order,
+/// e = t - double(score), and applies row += float(e) * ph2 in axpy
+/// order — bit-identical to that per-sample dot/axpy sequence, for any
+/// duplicates among the rows (a row's score always sees every earlier
+/// update to it). Writes each e to errors[] in sample order (capacity
+/// n_pos * (1 + n_neg)) and returns the sample count. h and ph2 must
+/// alias no row.
+std::size_t oselm_context_update(float* const* pos_rows, std::size_t n_pos,
+                                 float* const* neg_rows, std::size_t n_neg,
+                                 const float* h, const float* ph2,
+                                 std::size_t dims, double* errors) noexcept;
+
 /// Fused SGNS gradient application over one (center, samples) group:
 ///   for i in [0, n): rows[i] += (neg_lr * g[i]) * h      (output rows)
 ///   h += neg_lr * sum_i g[i] * rows_pre[i]               (input row)
@@ -174,6 +189,10 @@ void dot_batch_gather(const float* const* rows, std::size_t n,
                       float* scores) noexcept;
 void axpy_gather(float* const* rows, const float* coeffs, const float* x,
                  std::size_t n, std::size_t dims) noexcept;
+std::size_t oselm_context_update(float* const* pos_rows, std::size_t n_pos,
+                                 float* const* neg_rows, std::size_t n_neg,
+                                 const float* h, const float* ph2,
+                                 std::size_t dims, double* errors) noexcept;
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
                 float neg_lr, std::size_t n, std::size_t dims) noexcept;
 [[nodiscard]] std::int32_t dot_i8(const std::int8_t* x, const std::int8_t* y,

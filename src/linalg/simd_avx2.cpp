@@ -18,6 +18,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <type_traits>
 
 namespace seqge::simd::avx2 {
 
@@ -55,6 +56,48 @@ inline __m256 hsum256x8(const __m256 (&v)[8]) noexcept {
                                     _mm256_shuffle_ps(a, b, 0xDD));
   return _mm256_permutevar8x32_ps(sums,
                                   _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+}
+
+// hsum256 of four vectors at once, same tree and operand order per
+// vector, so out[k] is bit-identical to hsum256 of the k-th argument.
+inline void hsum256x4(__m256 a, __m256 b, __m256 c, __m256 d,
+                      float* out) noexcept {
+  // lo128 + hi128 of each vector: [a | b] and [c | d].
+  const __m256 ab = _mm256_add_ps(_mm256_permute2f128_ps(a, b, 0x20),
+                                  _mm256_permute2f128_ps(a, b, 0x31));
+  const __m256 cd = _mm256_add_ps(_mm256_permute2f128_ps(c, d, 0x20),
+                                  _mm256_permute2f128_ps(c, d, 0x31));
+  // [s0+s2, s1+s3] of each, then their sum: lanes hold a c .. | b d ..
+  const __m256 u = _mm256_add_ps(_mm256_shuffle_ps(ab, cd, 0x44),
+                                 _mm256_shuffle_ps(ab, cd, 0xEE));
+  const __m256 t = _mm256_add_ps(_mm256_shuffle_ps(u, u, 0x88),
+                                 _mm256_shuffle_ps(u, u, 0xDD));
+  const __m128 lo = _mm256_castps256_ps128(t);
+  const __m128 hi = _mm256_extractf128_ps(t, 1);
+  out[0] = _mm_cvtss_f32(lo);
+  out[1] = _mm_cvtss_f32(hi);
+  out[2] = _mm_cvtss_f32(_mm_shuffle_ps(lo, lo, 0x55));
+  out[3] = _mm_cvtss_f32(_mm_shuffle_ps(hi, hi, 0x55));
+}
+
+// Calls f(std::integral_constant<std::size_t, NV>{}) with NV = n / 8
+// when 8 <= n < 40 — rows of one to four full vectors, whose loops the
+// fused training kernels unroll and keep in registers — and NV = 0
+// (the looping form for any n) otherwise.
+template <typename F>
+void with_register_vectors(std::size_t n, F&& f) {
+  switch (n >= 8 && n < 40 ? n / 8 : 0) {
+    case 1:
+      return f(std::integral_constant<std::size_t, 1>{});
+    case 2:
+      return f(std::integral_constant<std::size_t, 2>{});
+    case 3:
+      return f(std::integral_constant<std::size_t, 3>{});
+    case 4:
+      return f(std::integral_constant<std::size_t, 4>{});
+    default:
+      return f(std::integral_constant<std::size_t, 0>{});
+  }
 }
 
 inline double hsum256d(__m256d v) noexcept {
@@ -247,15 +290,82 @@ void rank1_update(float* m, std::size_t rows, std::size_t cols, float a,
   }
 }
 
-void matvec_both(const float* m, std::size_t n, const float* v,
-                 float* out_mv, float* out_mtv) noexcept {
-  // One pass over the square matrix produces both products: four rows
-  // per quad share each load of v; each m-row block feeds that row's
-  // dot accumulator (canonical per-row order) AND the M^T v memory
-  // accumulator. Per out_mtv element the FMA chain runs rows in
-  // ascending order — a register accumulator (matvec_t) and this
-  // load-fma-store sequence round identically, so both outputs match
-  // separate dot_batch + matvec_t calls bit for bit.
+namespace {
+
+// matvec_both for NV = n / 8 full column vectors (1 to 4): the
+// same quad-row pass as the general loop, but the M^T v sums of those
+// columns stay in NV registers for the whole pass instead of making a
+// load-FMA-store round trip per quad. Columns past the last full
+// vector, and rows past the last quad, take the general loop's chains.
+template <std::size_t NV>
+void matvec_both_small(const float* m, std::size_t n, const float* v,
+                       float* out_mv, float* out_mtv) noexcept {
+  __m256 q[NV];
+  __m256 t[NV];
+  for (std::size_t k = 0; k < NV; ++k) {
+    q[k] = _mm256_loadu_ps(v + 8 * k);
+    t[k] = _mm256_setzero_ps();
+  }
+  for (std::size_t c = 8 * NV; c < n; ++c) out_mtv[c] = 0.0f;
+  std::size_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    const float* r0 = m + (r + 0) * n;
+    const float* r1 = m + (r + 1) * n;
+    const float* r2 = m + (r + 2) * n;
+    const float* r3 = m + (r + 3) * n;
+    const __m256 vr0 = _mm256_set1_ps(v[r + 0]);
+    const __m256 vr1 = _mm256_set1_ps(v[r + 1]);
+    const __m256 vr2 = _mm256_set1_ps(v[r + 2]);
+    const __m256 vr3 = _mm256_set1_ps(v[r + 3]);
+    __m256 a0 = _mm256_setzero_ps();
+    __m256 a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps();
+    __m256 a3 = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < NV; ++k) {
+      const __m256 m0 = _mm256_loadu_ps(r0 + 8 * k);
+      const __m256 m1 = _mm256_loadu_ps(r1 + 8 * k);
+      const __m256 m2 = _mm256_loadu_ps(r2 + 8 * k);
+      const __m256 m3 = _mm256_loadu_ps(r3 + 8 * k);
+      a0 = _mm256_fmadd_ps(m0, q[k], a0);
+      a1 = _mm256_fmadd_ps(m1, q[k], a1);
+      a2 = _mm256_fmadd_ps(m2, q[k], a2);
+      a3 = _mm256_fmadd_ps(m3, q[k], a3);
+      t[k] = _mm256_fmadd_ps(vr0, m0, t[k]);
+      t[k] = _mm256_fmadd_ps(vr1, m1, t[k]);
+      t[k] = _mm256_fmadd_ps(vr2, m2, t[k]);
+      t[k] = _mm256_fmadd_ps(vr3, m3, t[k]);
+    }
+    hsum256x4(a0, a1, a2, a3, out_mv + r);
+    for (std::size_t i = 8 * NV; i < n; ++i) {
+      out_mv[r + 0] = std::fmaf(r0[i], v[i], out_mv[r + 0]);
+      out_mv[r + 1] = std::fmaf(r1[i], v[i], out_mv[r + 1]);
+      out_mv[r + 2] = std::fmaf(r2[i], v[i], out_mv[r + 2]);
+      out_mv[r + 3] = std::fmaf(r3[i], v[i], out_mv[r + 3]);
+      out_mtv[i] += v[r + 0] * r0[i];
+      out_mtv[i] += v[r + 1] * r1[i];
+      out_mtv[i] += v[r + 2] * r2[i];
+      out_mtv[i] += v[r + 3] * r3[i];
+    }
+  }
+  for (; r < n; ++r) {
+    const float* row = m + r * n;
+    const __m256 vr = _mm256_set1_ps(v[r]);
+    for (std::size_t k = 0; k < NV; ++k) {
+      t[k] = _mm256_fmadd_ps(vr, _mm256_loadu_ps(row + 8 * k), t[k]);
+    }
+    for (std::size_t i = 8 * NV; i < n; ++i) out_mtv[i] += v[r] * row[i];
+    out_mv[r] = dot(row, v, n);
+  }
+  for (std::size_t k = 0; k < NV; ++k) {
+    _mm256_storeu_ps(out_mtv + 8 * k, t[k]);
+  }
+}
+
+// matvec_both for any n: the M^T v sums make a load-FMA-store round
+// trip per quad of rows. Per element the chain still runs rows in
+// ascending order, one rounding per step, so it matches matvec_t.
+void matvec_both_loop(const float* m, std::size_t n, const float* v,
+                      float* out_mv, float* out_mtv) noexcept {
   for (std::size_t c = 0; c < n; ++c) out_mtv[c] = 0.0f;
   std::size_t r = 0;
   for (; r + 4 <= n; r += 4) {
@@ -352,14 +462,32 @@ void matvec_both(const float* m, std::size_t n, const float* v,
   }
 }
 
-void rank1_matvec(float* m, std::size_t n, float a, const float* x,
-                  const float* y, const float* v, float* out) noexcept {
-  // One pass over the square matrix for update + re-score: per quad of
-  // rows the freshly updated block feeds the dot accumulator directly,
-  // so each row is read and written once instead of twice. Coefficients
-  // round once up front (rank1_update's contract); each dot follows the
-  // canonical per-row order over the updated values — bit-identical to
-  // rank1_update followed by dot_batch.
+}  // namespace
+
+void matvec_both(const float* m, std::size_t n, const float* v,
+                 float* out_mv, float* out_mtv) noexcept {
+  // One pass over the square matrix produces both products: four rows
+  // per quad share each load of v; each m-row block feeds that row's
+  // dot accumulator (canonical per-row order) AND the M^T v
+  // accumulator, in registers at the training dims. Both outputs match
+  // separate dot_batch + matvec_t calls bit for bit.
+  with_register_vectors(n, [&](auto nv) {
+    if constexpr (nv() == 0) {
+      matvec_both_loop(m, n, v, out_mv, out_mtv);
+    } else {
+      matvec_both_small<nv()>(m, n, v, out_mv, out_mtv);
+    }
+  });
+}
+
+namespace {
+
+// rank1_matvec over quads of rows; NV > 0 is n / 8 known at compile
+// time (the block loop fully unrolled), NV == 0 loops over any n.
+template <std::size_t NV>
+void rank1_matvec_rows(float* m, std::size_t n, float a, const float* x,
+                       const float* y, const float* v, float* out) noexcept {
+  const std::size_t nv = NV == 0 ? n / 8 : NV;
   std::size_t r = 0;
   for (; r + 4 <= n; r += 4) {
     float* m0 = m + (r + 0) * n;
@@ -378,8 +506,8 @@ void rank1_matvec(float* m, std::size_t n, float a, const float* x,
     __m256 a1 = _mm256_setzero_ps();
     __m256 a2 = _mm256_setzero_ps();
     __m256 a3 = _mm256_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    for (std::size_t k = 0; k < nv; ++k) {
+      const std::size_t i = 8 * k;
       const __m256 yv = _mm256_loadu_ps(y + i);
       const __m256 vv = _mm256_loadu_ps(v + i);
       const __m256 n0 = _mm256_fmadd_ps(cv0, yv, _mm256_loadu_ps(m0 + i));
@@ -395,30 +523,38 @@ void rank1_matvec(float* m, std::size_t n, float a, const float* x,
       a2 = _mm256_fmadd_ps(n2, vv, a2);
       a3 = _mm256_fmadd_ps(n3, vv, a3);
     }
-    float s0 = hsum256(a0);
-    float s1 = hsum256(a1);
-    float s2 = hsum256(a2);
-    float s3 = hsum256(a3);
-    for (; i < n; ++i) {
+    hsum256x4(a0, a1, a2, a3, out + r);
+    for (std::size_t i = 8 * nv; i < n; ++i) {
       m0[i] += c0 * y[i];
       m1[i] += c1 * y[i];
       m2[i] += c2 * y[i];
       m3[i] += c3 * y[i];
-      s0 = std::fmaf(m0[i], v[i], s0);
-      s1 = std::fmaf(m1[i], v[i], s1);
-      s2 = std::fmaf(m2[i], v[i], s2);
-      s3 = std::fmaf(m3[i], v[i], s3);
+      out[r + 0] = std::fmaf(m0[i], v[i], out[r + 0]);
+      out[r + 1] = std::fmaf(m1[i], v[i], out[r + 1]);
+      out[r + 2] = std::fmaf(m2[i], v[i], out[r + 2]);
+      out[r + 3] = std::fmaf(m3[i], v[i], out[r + 3]);
     }
-    out[r + 0] = s0;
-    out[r + 1] = s1;
-    out[r + 2] = s2;
-    out[r + 3] = s3;
   }
   for (; r < n; ++r) {
     float* row = m + r * n;
     axpy(a * x[r], y, row, n);
     out[r] = dot(row, v, n);
   }
+}
+
+}  // namespace
+
+void rank1_matvec(float* m, std::size_t n, float a, const float* x,
+                  const float* y, const float* v, float* out) noexcept {
+  // One pass over the square matrix for update + re-score: per quad of
+  // rows the freshly updated block feeds the dot accumulator directly,
+  // so each row is read and written once instead of twice. Coefficients
+  // round once up front (rank1_update's contract); each dot follows the
+  // canonical per-row order over the updated values — bit-identical to
+  // rank1_update followed by dot_batch.
+  with_register_vectors(n, [&](auto nv) {
+    rank1_matvec_rows<nv()>(m, n, a, x, y, v, out);
+  });
 }
 
 void dot_batch_gather(const float* const* rows, std::size_t n,
@@ -501,6 +637,147 @@ void axpy_gather(float* const* rows, const float* coeffs, const float* x,
     }
   }
   for (; r < n; ++r) axpy(coeffs[r], x, rows[r], dims);
+}
+
+namespace {
+
+// hsum256 of two vectors at once, same tree and operand order per
+// vector (the two 128-bit halves added, then the in-lane pairs), so
+// each sum is bit-identical to hsum256 of its vector.
+inline void hsum256x2(__m256 a, __m256 b, float& sa, float& sb) noexcept {
+  __m256 s = _mm256_add_ps(_mm256_permute2f128_ps(a, b, 0x20),
+                           _mm256_permute2f128_ps(a, b, 0x31));
+  s = _mm256_add_ps(s, _mm256_shuffle_ps(s, s, 0xEE));
+  s = _mm256_add_ps(s, _mm256_shuffle_ps(s, s, 0x55));
+  sa = _mm256_cvtss_f32(s);
+  sb = _mm_cvtss_f32(_mm256_extractf128_ps(s, 1));
+}
+
+// One OS-ELM sample: dot() then axpy(), as the per-sample path calls
+// them.
+inline void oselm_sample(float* row, double t, const float* h,
+                         const float* ph2, std::size_t dims,
+                         double* err) noexcept {
+  const double e = t - static_cast<double>(dot(h, row, dims));
+  *err = e;
+  axpy(static_cast<float>(e), ph2, row, dims);
+}
+
+// Two samples on distinct rows: neither score reads the other's
+// update, so the two dot chains and the two axpys interleave. Each row
+// keeps dot()'s and axpy()'s own order (operands as in those calls).
+// NV > 0 is dims / 8 known at compile time: the rows' full vectors stay
+// in registers from the dots to the updates. NV == 0 loops over any
+// dims and reloads them.
+template <std::size_t NV>
+inline void oselm_sample_pair(float* a, double ta, float* b, double tb,
+                              const float* h, const float* ph2,
+                              std::size_t dims, double* err) noexcept {
+  constexpr std::size_t kHeld = NV == 0 ? 1 : NV;
+  const std::size_t nv = NV == 0 ? dims / 8 : NV;
+  __m256 ra[kHeld];
+  __m256 rb[kHeld];
+  __m256 acc_a = _mm256_setzero_ps();
+  __m256 acc_b = _mm256_setzero_ps();
+  for (std::size_t k = 0; k < nv; ++k) {
+    const __m256 hv = _mm256_loadu_ps(h + 8 * k);
+    const __m256 va = _mm256_loadu_ps(a + 8 * k);
+    const __m256 vb = _mm256_loadu_ps(b + 8 * k);
+    if constexpr (NV != 0) {
+      ra[k] = va;
+      rb[k] = vb;
+    }
+    acc_a = _mm256_fmadd_ps(hv, va, acc_a);
+    acc_b = _mm256_fmadd_ps(hv, vb, acc_b);
+  }
+  float sa;
+  float sb;
+  hsum256x2(acc_a, acc_b, sa, sb);
+  for (std::size_t i = 8 * nv; i < dims; ++i) {
+    sa = std::fmaf(h[i], a[i], sa);
+    sb = std::fmaf(h[i], b[i], sb);
+  }
+  err[0] = ta - static_cast<double>(sa);
+  err[1] = tb - static_cast<double>(sb);
+  // float(t - double(s)) is t - s rounded once: double rounding through
+  // double is innocuous for a float sum (53 >= 2 * 24 + 2 bits), so the
+  // coefficient skips the two conversions on the critical path and
+  // keeps its bits.
+  const float ca = static_cast<float>(ta) - sa;
+  const float cb = static_cast<float>(tb) - sb;
+  const __m256 cav = _mm256_set1_ps(ca);
+  const __m256 cbv = _mm256_set1_ps(cb);
+  for (std::size_t k = 0; k < nv; ++k) {
+    const __m256 pv = _mm256_loadu_ps(ph2 + 8 * k);
+    __m256 va;
+    __m256 vb;
+    if constexpr (NV != 0) {
+      va = ra[k];
+      vb = rb[k];
+    } else {
+      va = _mm256_loadu_ps(a + 8 * k);
+      vb = _mm256_loadu_ps(b + 8 * k);
+    }
+    _mm256_storeu_ps(a + 8 * k, _mm256_fmadd_ps(cav, pv, va));
+    _mm256_storeu_ps(b + 8 * k, _mm256_fmadd_ps(cbv, pv, vb));
+  }
+  for (std::size_t i = 8 * nv; i < dims; ++i) {
+    a[i] += ca * ph2[i];
+    b[i] += cb * ph2[i];
+  }
+}
+
+// The sample sequence with one sample held back: a next sample on a
+// different row trains as a pair with it; a repeat of its row trains
+// it alone first, so the repeat's score sees its update.
+template <std::size_t NV>
+std::size_t oselm_context_samples(float* const* pos_rows, std::size_t n_pos,
+                                  float* const* neg_rows, std::size_t n_neg,
+                                  const float* h, const float* ph2,
+                                  std::size_t dims, double* errors) noexcept {
+  std::size_t k = 0;
+  float* held = nullptr;
+  double held_t = 0.0;
+  const auto push = [&](float* row, double t) {
+    if (held == nullptr) {
+      held = row;
+      held_t = t;
+    } else if (held != row) {
+      oselm_sample_pair<NV>(held, held_t, row, t, h, ph2, dims, errors + k);
+      k += 2;
+      held = nullptr;
+    } else {
+      oselm_sample(held, held_t, h, ph2, dims, errors + k);
+      ++k;
+      held_t = t;
+    }
+  };
+  for (std::size_t g = 0; g < n_pos; ++g) {
+    float* pos = pos_rows[g];
+    push(pos, 1.0);
+    for (std::size_t j = 0; j < n_neg; ++j) {
+      if (neg_rows[j] != pos) push(neg_rows[j], 0.0);
+    }
+  }
+  if (held != nullptr) {
+    oselm_sample(held, held_t, h, ph2, dims, errors + k);
+    ++k;
+  }
+  return k;
+}
+
+}  // namespace
+
+std::size_t oselm_context_update(float* const* pos_rows, std::size_t n_pos,
+                                 float* const* neg_rows, std::size_t n_neg,
+                                 const float* h, const float* ph2,
+                                 std::size_t dims, double* errors) noexcept {
+  std::size_t k = 0;
+  with_register_vectors(dims, [&](auto nv) {
+    k = oselm_context_samples<nv()>(pos_rows, n_pos, neg_rows, n_neg, h, ph2,
+                                    dims, errors);
+  });
+  return k;
 }
 
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,

@@ -313,14 +313,16 @@ std::uint64_t ShardedEmbeddingStore::publish_tombstones(
             "strictly ascending and in range");
       }
     }
-    assigned = version_.load(std::memory_order_relaxed) + 1;
-
+    // Each shard's new bitmap from the nodes in its range. Replace
+    // semantics: a shard whose bitmap is unchanged (empty-to-empty
+    // included) keeps its snapshot, and a call that changes no shard
+    // takes no version.
+    std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> swaps;
     std::uint64_t total_dead = 0;
     std::size_t i = 0;  // cursor into `nodes` (ascending)
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
       const auto begin = static_cast<NodeId>(layout_.begin(s));
       const auto end = static_cast<NodeId>(begin + layout_.rows(s));
-      // This shard's new bitmap from the nodes in [begin, end).
       std::vector<std::uint8_t> dead;
       while (i < nodes.size() && nodes[i] < end) {
         if (dead.empty()) dead.resize(layout_.rows(s), 0);
@@ -328,14 +330,18 @@ std::uint64_t ShardedEmbeddingStore::publish_tombstones(
         ++total_dead;
         ++i;
       }
-      const auto old_snap = heads_[s].load(std::memory_order_relaxed);
-      // Replace semantics: empty-to-empty is a no-op; otherwise clone
-      // the snapshot with only the bitmap swapped — zero rows copied,
-      // base_version preserved, so incremental index refresh sees no
-      // row changes.
-      if (dead.empty() && old_snap->dead.empty()) continue;
-      if (dead == old_snap->dead) continue;
-      auto snap = std::make_shared<ShardSnapshot>(*old_snap);
+      if (dead != heads_[s].load(std::memory_order_relaxed)->dead) {
+        swaps.emplace_back(s, std::move(dead));
+      }
+    }
+    if (swaps.empty()) return version_.load(std::memory_order_relaxed);
+    assigned = version_.load(std::memory_order_relaxed) + 1;
+    for (auto& [s, dead] : swaps) {
+      // Clone the snapshot with only the bitmap swapped — zero rows
+      // copied, base_version preserved, so incremental index refresh
+      // sees no row changes.
+      auto snap = std::make_shared<ShardSnapshot>(
+          *heads_[s].load(std::memory_order_relaxed));
       snap->version = assigned;
       snap->dead = std::move(dead);
       heads_[s].store(std::move(snap), std::memory_order_release);

@@ -186,7 +186,9 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// bitmap replaced (row pointers, buffers, overlay, and base_version
   /// are shared/carried), so readers pick up visibility at the next
   /// head load and incremental index refresh sees no row changes.
-  /// Shards whose bitmap is unchanged-empty are not swapped. A delta
+  /// Shards whose bitmap is unchanged are not swapped, and a call that
+  /// changes no shard returns the current version without taking a new
+  /// one (an insert-only stream's flushes publish nothing here). A delta
   /// publish revives any touched row (clears its bit); a full publish
   /// clears every bit — producers with live deletions must republish
   /// the dead set after full publishes (the StreamTrainer does, every

@@ -1,9 +1,10 @@
 #pragma once
 // Exact per-walk operation counts for each training algorithm — the
-// platform-independent half of the performance model. These formulas are
-// audited against the instrumented implementations by tests
-// (test_perfmodel.cpp), so the speedup analysis in Tables 3/4 rests on
-// verified op counts rather than hand-waving.
+// platform-independent half of the performance model, kept beside the
+// tests that use it: test_perfmodel.cpp audits these formulas against
+// the instrumented implementations, and test_fpga.cpp checks the
+// simulated core's op counts against them, so the speedup analysis in
+// Tables 3/4 rests on verified op counts rather than hand-waving.
 
 #include <cstdint>
 

@@ -19,8 +19,8 @@
 #include "fpga/resource_model.hpp"
 #include "graph/generators.hpp"
 #include "linalg/kernels.hpp"
+#include "op_counts.hpp"
 #include "perfmodel/cpu_model.hpp"
-#include "perfmodel/op_counts.hpp"
 
 namespace seqge::fpga {
 namespace {

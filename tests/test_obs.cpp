@@ -6,12 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,27 +18,9 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "support/alloc_counter.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-
-// Global allocation counter for the disabled-mode zero-allocation
-// test: every scalar/array new in this binary routes through here.
-// (Aligned news keep their defaults — nothing on the record paths
-// allocates aligned storage.)
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace seqge {
 namespace {
@@ -281,8 +260,7 @@ TEST(ObsDisabled, RecordPathsWriteNothingAndAllocateNothing) {
     warm_count = c->value();
   }
   obs::EnabledGuard off(false);
-  const std::size_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::size_t allocs_before = test_support::heap_allocations();
   for (int i = 0; i < 10000; ++i) {
     c->add();
     h->observe(5.0);
@@ -290,7 +268,7 @@ TEST(ObsDisabled, RecordPathsWriteNothingAndAllocateNothing) {
     span_alloc_probe();
   }
   // Disabled means silent: no allocation and no recorded value moved.
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), allocs_before);
+  EXPECT_EQ(test_support::heap_allocations(), allocs_before);
   EXPECT_EQ(c->value(), warm_count);
   EXPECT_EQ(h->count(), 1u);
   EXPECT_EQ(g->value(), 1);

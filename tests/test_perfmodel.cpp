@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "op_counts.hpp"
 #include "perfmodel/cpu_model.hpp"
-#include "perfmodel/op_counts.hpp"
 
 namespace seqge::perfmodel {
 namespace {

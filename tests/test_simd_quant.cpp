@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -300,6 +301,148 @@ TEST(SimdTrainKernels, SgnsApplyMatchesUnfusedCompositionExactly) {
       }
       for (std::size_t d = 0; d < dims; ++d) {
         EXPECT_EQ(h_got[d], h_ref[d]) << "n=" << n << " dims=" << dims;
+      }
+    }
+  }
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+TEST(SimdTrainKernels, MatvecBothMatchesSeparateProductsExactly) {
+  Rng rng(46);
+  for (std::size_t n : kTrainDims) {
+    for (std::size_t off : {0u, 1u}) {
+      const auto m = random_vec(n * n + off, rng);
+      const auto v = random_vec(n + off, rng);
+      std::vector<float> mv(n + 1, -1.0f), mtv(n + 1, -1.0f);
+      std::vector<float> mv_ref(n + 1, -1.0f), mtv_ref(n + 1, -1.0f);
+      simd::matvec_both(m.data() + off, n, v.data() + off, mv.data(),
+                        mtv.data());
+      simd::dot_batch(m.data() + off, n, n, v.data() + off, mv_ref.data());
+      simd::matvec_t(m.data() + off, n, n, v.data() + off, mtv_ref.data());
+      EXPECT_TRUE(same_bits(mv, mv_ref)) << "n=" << n << " off=" << off;
+      EXPECT_TRUE(same_bits(mtv, mtv_ref)) << "n=" << n << " off=" << off;
+    }
+  }
+}
+
+TEST(SimdTrainKernels, Rank1MatvecMatchesUpdateThenDotBatchExactly) {
+  Rng rng(48);
+  for (std::size_t n : kTrainDims) {
+    const auto base = random_vec(n * n, rng);
+    const auto x = random_vec(n, rng);
+    const auto y = random_vec(n, rng);
+    const auto v = random_vec(n, rng);
+    const float a = static_cast<float>(rng.uniform(-2.0, 2.0));
+    auto got = base;
+    auto ref = base;
+    std::vector<float> out(n + 1, -1.0f), out_ref(n + 1, -1.0f);
+    simd::rank1_matvec(got.data(), n, a, x.data(), y.data(), v.data(),
+                       out.data());
+    simd::rank1_update(ref.data(), n, n, a, x.data(), y.data());
+    simd::dot_batch(ref.data(), n, n, v.data(), out_ref.data());
+    EXPECT_TRUE(same_bits(got, ref)) << "n=" << n;
+    EXPECT_TRUE(same_bits(out, out_ref)) << "n=" << n;
+  }
+}
+
+// One context's sample sequence as the per-sample OS-ELM path runs it:
+// each positive, then every negative row that differs from it, each
+// scored with dot() and updated with axpy().
+std::size_t oselm_context_reference(const std::vector<float*>& pos,
+                                    const std::vector<float*>& neg,
+                                    const float* h, const float* ph2,
+                                    std::size_t dims, double* errors) {
+  std::size_t k = 0;
+  const auto sample = [&](float* row, double t) {
+    const double e = t - static_cast<double>(simd::dot(h, row, dims));
+    errors[k++] = e;
+    simd::axpy(static_cast<float>(e), ph2, row, dims);
+  };
+  for (float* p : pos) {
+    sample(p, 1.0);
+    for (float* q : neg) {
+      if (q != p) sample(q, 0.0);
+    }
+  }
+  return k;
+}
+
+TEST(SimdTrainKernels, OselmContextUpdateMatchesPerSampleCompositionExactly) {
+  // Row-index patterns for one context: `pos` (window - 1 positives) and
+  // `neg` (ns negatives) index a table of rows; row 0 is the center,
+  // whose scaled copy is h.
+  enum class Pattern {
+    kDistinct,
+    kDuplicateNegatives,
+    kPositiveIsNegative,
+    kRepeatedPositives,
+    kCenterAmongSamples,
+  };
+  Rng rng(47);
+  constexpr std::size_t kRows = 24;
+  for (std::size_t dims : {13u, 24u, 32u, 33u, 96u}) {
+    for (std::size_t ns : {0u, 1u, 3u, 10u}) {
+      for (std::size_t window = 2; window <= 9; ++window) {
+        for (const Pattern pat :
+             {Pattern::kDistinct, Pattern::kDuplicateNegatives,
+              Pattern::kPositiveIsNegative, Pattern::kRepeatedPositives,
+              Pattern::kCenterAmongSamples}) {
+          std::vector<std::size_t> pos(window - 1), neg(ns);
+          for (std::size_t i = 0; i < pos.size(); ++i) pos[i] = 1 + i;
+          for (std::size_t j = 0; j < ns; ++j) neg[j] = 9 + j;
+          switch (pat) {
+            case Pattern::kDistinct:
+              break;
+            case Pattern::kDuplicateNegatives:
+              for (auto& j : neg) j = 9 + rng.bounded(2);
+              break;
+            case Pattern::kPositiveIsNegative:
+              if (ns > 0) neg[rng.bounded(ns)] = pos[rng.bounded(pos.size())];
+              break;
+            case Pattern::kRepeatedPositives:
+              for (auto& i : pos) i = 1 + rng.bounded(2);
+              if (ns > 1) neg[1] = pos[0];
+              break;
+            case Pattern::kCenterAmongSamples:
+              pos[rng.bounded(pos.size())] = 0;
+              if (ns > 0) neg[ns - 1] = 0;
+              break;
+          }
+          const auto table = random_vec(kRows * dims, rng);
+          std::vector<float> h(dims);
+          for (std::size_t d = 0; d < dims; ++d) h[d] = 0.05f * table[d];
+          const auto ph2 = random_vec(dims, rng, -0.1, 0.1);
+          auto got = table;
+          auto ref = table;
+          const auto rows = [&](std::vector<float>& t,
+                                const std::vector<std::size_t>& idx) {
+            std::vector<float*> out;
+            for (std::size_t i : idx) out.push_back(t.data() + i * dims);
+            return out;
+          };
+          const auto pos_got = rows(got, pos), neg_got = rows(got, neg);
+          const auto pos_ref = rows(ref, pos), neg_ref = rows(ref, neg);
+          const std::size_t cap = pos.size() * (1 + ns);
+          std::vector<double> err_got(cap, -7.0), err_ref(cap, -7.0);
+          const std::size_t n_got = simd::oselm_context_update(
+              pos_got.data(), pos_got.size(), neg_got.data(), ns, h.data(),
+              ph2.data(), dims, err_got.data());
+          const std::size_t n_ref = oselm_context_reference(
+              pos_ref, neg_ref, h.data(), ph2.data(), dims, err_ref.data());
+          const auto where = ::testing::Message()
+                             << "dims=" << dims << " ns=" << ns
+                             << " window=" << window
+                             << " pattern=" << static_cast<int>(pat);
+          ASSERT_EQ(n_got, n_ref) << where;
+          EXPECT_TRUE(same_bits(got, ref)) << where;
+          EXPECT_TRUE(same_bits(err_got, err_ref)) << where;
+        }
       }
     }
   }

@@ -1,19 +1,17 @@
-// Gates for the fused training-kernel layer (PR 9):
+// Gates for the fused training-kernel layer:
 //  - fused vs force_unfused whole-model BIT identity for all three CPU
 //    backends, in every negative mode, including duplicate-negative
-//    walks (which must take the sequential fallback);
+//    walks (the SGNS and dataflow backends take their sequential
+//    fallback there; OS-ELM's context kernel handles repeated rows);
 //  - steady-state train_walk performs ZERO heap allocations (pinned
-//    with an operator-new counter, same technique as test_obs);
+//    with the operator-new counter in tests/support/alloc_counter);
 //  - the opt-in fast-sigmoid table is loss-equivalent to std::exp on a
 //    fixed seed (it is NOT bit-identical — that is the contract).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <vector>
 
 #include "embedding/oselm_dataflow.hpp"
@@ -21,25 +19,8 @@
 #include "embedding/oselm_skipgram.hpp"
 #include "embedding/skipgram_sgd.hpp"
 #include "sampling/negative_sampler.hpp"
+#include "support/alloc_counter.hpp"
 #include "util/rng.hpp"
-
-// Global allocation counter: every scalar/array new in this binary
-// routes through here (aligned news keep their defaults — nothing on
-// the training paths allocates aligned storage).
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace seqge {
 namespace {
@@ -179,6 +160,36 @@ TEST(FusedIdentity, OselmDuplicateNegativesFallBack) {
                          ref.beta_transposed().flat()));
 }
 
+TEST(FusedIdentity, OselmRepeatedRowsMatchPerSamplePath) {
+  // Walks over five nodes repeat positives, put the center among its
+  // own samples and make positives equal negatives; the negatives
+  // repeat too. Every one of those orders must match the per-sample
+  // path, at dims with and without a vector tail.
+  for (const std::size_t dims : {13u, 24u, 32u, 33u}) {
+    OselmSkipGram::Options opts;
+    opts.dims = dims;
+    Rng ra(15), rb(15);
+    OselmSkipGram fused(kNodes, opts, ra);
+    OselmSkipGram ref(kNodes, opts, rb);
+    ref.set_force_unfused(true);
+    Rng wr(16);
+    for (std::size_t i = 0; i < 8; ++i) {
+      std::vector<NodeId> walk(20), negs(kNs);
+      for (auto& v : walk) v = static_cast<NodeId>(wr.bounded(5));
+      for (auto& v : negs) v = static_cast<NodeId>(wr.bounded(5));
+      EXPECT_EQ(fused.train_walk(walk, kWindow, negs),
+                ref.train_walk(walk, kWindow, negs))
+          << "dims=" << dims << " walk=" << i;
+    }
+    EXPECT_TRUE(bits_equal(fused.beta_transposed().flat(),
+                           ref.beta_transposed().flat()))
+        << "dims=" << dims;
+    EXPECT_TRUE(bits_equal(fused.covariance().flat(),
+                           ref.covariance().flat()))
+        << "dims=" << dims;
+  }
+}
+
 TEST(FusedIdentity, DataflowSharedNegatives) {
   OselmSkipGramDataflow::Options opts;
   opts.dims = kDims;
@@ -226,9 +237,9 @@ TEST(FusedIdentity, DataflowDuplicateNegativesFallBack) {
 template <typename TrainPass>
 void expect_steady_state_alloc_free(TrainPass&& pass) {
   pass();  // warmup: scratch vectors grow to their steady-state sizes
-  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::size_t before = test_support::heap_allocations();
   pass();
-  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  const std::size_t after = test_support::heap_allocations();
   EXPECT_EQ(after, before) << "train_walk allocated in steady state";
 }
 

@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "embedding/model.hpp"
 #include "embedding/trainer.hpp"
 #include "graph/components.hpp"
 #include "walk/corpus.hpp"
 #include "graph/generators.hpp"
+#include "graph/sliding_window.hpp"
 #include "linalg/kernels.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace seqge {
@@ -143,6 +147,66 @@ TEST(TrainSequential, WorksForSgdBaselineToo) {
       train_sequential(*model, data.graph, cfg, rng);
   EXPECT_EQ(result.insertions, 20u);
   EXPECT_GT(result.stats.num_contexts, 0u);
+}
+
+/// A diverged backend: every walk's loss is NaN.
+class NanLossModel final : public EmbeddingModel {
+ public:
+  explicit NanLossModel(std::size_t n) : n_(n) {}
+  double train_walk(std::span<const NodeId>, std::size_t,
+                    const NegativeSampler&, std::size_t, NegativeMode,
+                    Rng&) override {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  [[nodiscard]] MatrixF extract_embedding() const override {
+    return MatrixF(n_, dims());
+  }
+  [[nodiscard]] std::size_t dims() const override { return 4; }
+  [[nodiscard]] std::size_t num_nodes() const override { return n_; }
+  [[nodiscard]] std::size_t model_bytes() const override { return 0; }
+  [[nodiscard]] std::string name() const override { return "nan-loss"; }
+
+ private:
+  std::size_t n_;
+};
+
+std::uint64_t nonfinite_batches() {
+  const obs::Counter* c = obs::Registry::global().find_counter(
+      "seqge_train_nonfinite_batches_total");
+  return c == nullptr ? 0 : c->value();
+}
+
+TEST(NonFiniteSentinel, CountsEveryNanBatchOfBothLoops) {
+  const obs::EnabledGuard on(true);
+  const LabeledGraph data = small_graph();
+  const TrainConfig cfg = small_config();
+  NanLossModel model(data.graph.num_nodes());
+  Rng rng(9);
+  const std::uint64_t before = nonfinite_batches();
+  const TrainStats st = train_all(model, data.graph, cfg, rng);
+  ASSERT_GT(st.num_batches, 0u);
+  EXPECT_EQ(nonfinite_batches() - before, st.num_batches);
+
+  SlidingWindowGraph window(8);
+  StreamConfig scfg;
+  scfg.train = cfg;
+  StreamTrainer stream(model, window, scfg, rng);
+  const std::uint64_t before_stream = nonfinite_batches();
+  for (NodeId u = 0; u + 1 < 8; ++u) stream.insert(u, u + 1);
+  EXPECT_EQ(nonfinite_batches() - before_stream,
+            stream.train_stats().num_batches);
+  EXPECT_GT(stream.train_stats().num_batches, 0u);
+}
+
+TEST(NonFiniteSentinel, FiniteTrainingLeavesItAlone) {
+  const obs::EnabledGuard on(true);
+  const LabeledGraph data = small_graph();
+  const TrainConfig cfg = small_config();
+  Rng rng(10);
+  auto model = make_model(ModelKind::kOselm, data.graph.num_nodes(), cfg, rng);
+  const std::uint64_t before = nonfinite_batches();
+  (void)train_all(*model, data.graph, cfg, rng);
+  EXPECT_EQ(nonfinite_batches(), before);
 }
 
 }  // namespace

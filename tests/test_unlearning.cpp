@@ -472,6 +472,29 @@ TEST(StreamTrainer, FlushPublishesTombstonesAndOnlySurvivingRows) {
   EXPECT_TRUE(saw);
 }
 
+// With nothing deleted, every flush's tombstone pass republishes the
+// same empty dead set, which takes no store version: the store's
+// version counts the delta publishes alone.
+TEST(StreamTrainer, InsertOnlyFlushesTakeOneVersionEach) {
+  StreamConfig cfg = small_stream_config();
+  cfg.publish_every = 8;
+  serve::ShardedEmbeddingStore store(3);
+  cfg.sink = &store;
+  SlidingWindowGraph graph(kNodes);
+  Rng mrng(55);
+  auto model = make_model(ModelKind::kOselm, kNodes, cfg.train, mrng);
+  Rng srng(56);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  for (NodeId i = 0; i < 32; ++i) {
+    const NodeId u = i % kNodes;
+    const NodeId v = (u + 1 + i / kNodes) % kNodes;
+    ASSERT_NE(trainer.insert(u, v, 1.0f, i),
+              SlidingWindowGraph::kInvalidToken);
+  }
+  EXPECT_EQ(trainer.stats().publishes, 4u);
+  EXPECT_EQ(store.version(), 4u);
+}
+
 // The record ring holds exactly kUnlearnHorizon mutations: a deletion
 // kUnlearnHorizon mutations after its insert is still reversed exactly;
 // one mutation later it takes the fallback re-train.
@@ -612,6 +635,24 @@ TEST(Tombstones, ShardedStoreValidatesAndReplaces) {
     EXPECT_NE(h.node, NodeId{4});
   }
   EXPECT_TRUE(saw2);
+}
+
+TEST(Tombstones, UnchangedDeadSetTakesNoVersion) {
+  serve::ShardedEmbeddingStore store(4);
+  store.publish(random_matrix(32, kDims, 68));
+  const std::vector<NodeId> none;
+  EXPECT_EQ(store.publish_tombstones(none), 1u);
+  const std::vector<NodeId> dead = {3, 30};
+  EXPECT_EQ(store.publish_tombstones(dead), 2u);
+  const auto swapped = store.shards_swapped();
+  EXPECT_EQ(store.publish_tombstones(dead), 2u);
+  EXPECT_EQ(store.version(), 2u);
+  EXPECT_EQ(store.shards_swapped(), swapped);
+  EXPECT_EQ(store.tombstoned_rows(), 2u);
+  // Clearing one shard's bit swaps that shard alone.
+  const std::vector<NodeId> fewer = {30};
+  EXPECT_EQ(store.publish_tombstones(fewer), 3u);
+  EXPECT_EQ(store.shards_swapped(), swapped + 1);
 }
 
 TEST(Tombstones, QueryEngineFiltersIvfAndQuantPaths) {
